@@ -9,6 +9,7 @@ from outside ``src/``.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,7 +47,8 @@ class Workload:
     """One workload: ``instances`` seeded inputs, solved once each per round.
 
     ``reps`` repeats each phase (set-up, solve, check) back to back when one
-    pass is too short to time alone; the phase time is then the batch mean.
+    pass is too short to time alone; each pass is timed on its own and the
+    phase time is the median pass, so a stall in one pass does not move it.
     """
 
     name = ""
@@ -63,20 +65,26 @@ class Workload:
     def run_job(self, inst, trace_path: Path, reps=(1, 1, 1)) -> JobOutput:
         config = self.config()
         n_setup, n_solve, n_check = reps
-        t0 = time.perf_counter()
+        setup_t, solve_t, check_t = [], [], []
         for _ in range(n_setup):
+            t0 = time.perf_counter()
             problem, x0, extra = self.setup(inst)
-        t1 = time.perf_counter()
+            setup_t.append(time.perf_counter() - t0)
         for _ in range(n_solve):
+            t0 = time.perf_counter()
             result = solver.run(problem, x0, config, seed=inst.seed)
-        t2 = time.perf_counter()
+            solve_t.append(time.perf_counter() - t0)
         for _ in range(n_check):
+            # Every pass writes a new file, as `adaprox solve --out` does:
+            # truncating the file just written would wait on its writeback.
+            trace_path.unlink(missing_ok=True)
+            t0 = time.perf_counter()
             harness.write_trace(result.trace, "json", str(trace_path))
             back = harness.read_trace(str(trace_path))
             replay = monitor.monitor_check(back, problem, adaptive.rho_total(config.rho))
-        t3 = time.perf_counter()
-        return JobOutput((t1 - t0) / n_setup, (t2 - t1) / n_solve, (t3 - t2) / n_check,
-                         problem, extra, result, back, replay)
+            check_t.append(time.perf_counter() - t0)
+        return JobOutput(statistics.median(setup_t), statistics.median(solve_t),
+                         statistics.median(check_t), problem, extra, result, back, replay)
 
     def verify(self, inst, out: JobOutput) -> list:
         return (checks.terminated_on_tol(out.result)
@@ -233,7 +241,7 @@ class NMF(Workload):
     tol = 3e-4
     p, q, r, data_rank = 100, 80, 5, 10
     instances = 5
-    reps = (100, 1, 1)
+    reps = (400, 1, 1)
 
     def __init__(self):
         b = np.random.default_rng(np.random.SeedSequence(FIXED_ENTROPY))
@@ -274,7 +282,7 @@ class Quadratic(Workload):
     tol = 1e-6
     dim = 100
     instances = 9
-    reps = (10, 1, 1)
+    reps = (40, 1, 1)
 
     def generate(self, seq, path: Path) -> ArrayInstance:
         rot_seed = int(seq.generate_state(1)[0])
@@ -309,7 +317,7 @@ def _save_arrays(seq, path: Path, data, x0) -> ArrayInstance:
 
 
 WORKLOADS = {
-    "logistic-dense": lambda: Logistic("logistic-dense", 2000, 200, 1.0, instances=3, reps=(1, 5, 40)),
+    "logistic-dense": lambda: Logistic("logistic-dense", 2000, 200, 1.0, instances=3, reps=(1, 10, 220)),
     "logistic-sparse": lambda: Logistic("logistic-sparse", 10000, 1000, 0.01, instances=3, reps=(2, 5, 40)),
     "nmf-monitored": NMF,
     "quad-monitored": Quadratic,
