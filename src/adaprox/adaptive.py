@@ -162,6 +162,9 @@ def armijo_search(oracle: SmoothOracle, x: Vector, grad: Vector, f_x: Optional[f
 # ---------------------------------------------------------------------------
 # Growth-control sequences
 
+#: Built-in sequences, each named after its ``RhoSequence`` factory.
+RHO_NAMES = ("rho1", "rho2", "zero")
+
 
 @dataclass(frozen=True)
 class RhoSequence:
@@ -178,7 +181,7 @@ class RhoSequence:
     table: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in ("rho1", "rho2", "zero", "custom"):
+        if self.kind not in RHO_NAMES + ("custom",):
             raise UsageError(f"unknown rho kind {self.kind!r}")
         if self.rho0 < 0.0:
             raise UsageError("rho0 must be nonnegative")

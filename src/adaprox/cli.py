@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 solver error, 2 usage error, 3 monitor violation.
+Exit codes: 0 success, 1 solver error (including a run stopped by a
+non-finite value), 2 usage error, 3 monitor violation.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptive import rho_total
+from .adaptive import RHO_NAMES, rho_total
 from .core import UsageError
 from .harness import (
     build_problem,
@@ -27,7 +28,7 @@ from .harness import (
 )
 from .monitor import monitor_check
 from .problems import logistic_synthetic, mc_synthetic, nmf_synthetic
-from .solver import SolverConfig, run
+from .solver import ENGINES, SolverConfig, run
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -36,10 +37,8 @@ EXIT_MONITOR = 3
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", default="adapgnc",
-                   choices=["adapgnc", "adapgnc-relaxed", "adapgnc-bb",
-                            "adgd", "fixed", "gd-ls"])
-    p.add_argument("--rho", default="rho2", choices=["rho1", "rho2", "zero"])
+    p.add_argument("--solver", default="adapgnc", choices=ENGINES)
+    p.add_argument("--rho", default="rho2", choices=RHO_NAMES)
     p.add_argument("--lambda0", type=float, default=1.0)
     p.add_argument("--fixed-step", type=float, default=None)
     p.add_argument("--tol", type=float, default=0.0)
@@ -88,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("trace", help="trace file (json carries solver metadata)")
     pc.add_argument("--known-L", type=float, default=None)
     pc.add_argument("--fstar", type=float, default=None)
-    pc.add_argument("--rho", default=None, choices=["rho1", "rho2", "zero"])
+    pc.add_argument("--rho", default=None, choices=RHO_NAMES)
 
     pg = sub.add_parser("gen", help="emit a synthetic dataset to a file")
     _add_problem_flags(pg)
@@ -114,6 +113,8 @@ def _cmd_solve(args) -> int:
     if args.out:
         write_trace(trace, args.format, args.out)
         print(f"trace written to {args.out}")
+    if trace.termination == "non_finite":
+        return EXIT_SOLVER
     if result.report is not None and not result.report.passed:
         return EXIT_MONITOR
     return EXIT_OK
@@ -127,7 +128,7 @@ def _cmd_bench(args) -> int:
     summary_path = f"{config.out_dir}/summary.json"
     write_summary(rows, fhat, summary_path)
     print(f"summary written to {summary_path}")
-    if any(r.error for r in rows):
+    if any(r.error or r.termination == "non_finite" for r in rows):
         return EXIT_SOLVER
     return EXIT_OK
 

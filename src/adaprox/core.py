@@ -59,23 +59,30 @@ class EvalCounters:
         self.n_gradient = 0
         self.n_prox = 0
 
-    def snapshot(self) -> "EvalCounters":
-        return EvalCounters(self.n_value, self.n_gradient, self.n_prox)
-
 
 @dataclass
 class SmoothOracle:
     """Value/gradient access to the smooth term f.
 
-    ``value_and_gradient``, when present, fuses both evaluations (the solver
-    needs both at every iterate; fusing halves oracle work). ``known_L`` is an
-    optional certified Lipschitz constant of the gradient.
+    ``value_and_gradient`` fuses both evaluations (the solver needs both at
+    every iterate; fusing halves oracle work). Give it or ``gradient``: the
+    other is derived from the callable given, not looked up on ``self``.
+    ``known_L`` is an optional certified Lipschitz constant of the gradient.
     """
 
     value: Callable[[Vector], float]
-    gradient: Callable[[Vector], Vector]
+    gradient: Optional[Callable[[Vector], Vector]] = None
     value_and_gradient: Optional[Callable[[Vector], tuple]] = None
     known_L: Optional[float] = None
+
+    def __post_init__(self):
+        value, gradient, fused = self.value, self.gradient, self.value_and_gradient
+        if fused is None:
+            if gradient is None:
+                raise UsageError("SmoothOracle needs gradient or value_and_gradient")
+            self.value_and_gradient = lambda x: (value(x), gradient(x))
+        elif gradient is None:
+            self.gradient = lambda x: fused(x)[1]
 
 
 @dataclass
@@ -118,10 +125,8 @@ class CompositeProblem:
     def f_value_gradient(self, x: Vector) -> tuple:
         self.counters.n_value += 1
         self.counters.n_gradient += 1
-        if self.smooth.value_and_gradient is not None:
-            v, g = self.smooth.value_and_gradient(x)
-            return float(v), g
-        return float(self.smooth.value(x)), self.smooth.gradient(x)
+        v, g = self.smooth.value_and_gradient(x)
+        return float(v), g
 
     def h_value(self, x: Vector) -> float:
         return float(self.nonsmooth.value(x))

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .adaptive import RhoSequence
+from .adaptive import RHO_NAMES, RhoSequence
 from .core import UsageError
 from .problems import (
     FactorShape,
@@ -98,22 +98,35 @@ def write_libsvm(design: SparseDesign, stream) -> None:
 # ---------------------------------------------------------------------------
 # Trace persistence
 
-TRACE_COLUMNS = ("k", "elapsed_s", "f", "F", "gradmap_norm", "lambda",
-                 "L_k", "l_k", "rho", "n_grad", "n_prox")
+#: The persisted trace columns: (column, IterationRecord field, type).
+TRACE_SCHEMA = (
+    ("k", "k", int),
+    ("elapsed_s", "elapsed_seconds", float),
+    ("f", "f_value", float),
+    ("F", "F_value", float),
+    ("gradmap_norm", "gradmap_norm", float),
+    ("lambda", "lam", float),
+    ("L_k", "L_k", float),
+    ("l_k", "l_k", float),
+    ("rho", "rho_used", float),
+    ("n_grad", "n_gradient", int),
+    ("n_prox", "n_prox", int),
+)
+TRACE_COLUMNS = tuple(col for col, _, _ in TRACE_SCHEMA)
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _record_row(r: IterationRecord) -> list:
-    return [r.k, r.elapsed_seconds, r.f_value, r.F_value, r.gradmap_norm,
-            r.lam, r.L_k, r.l_k, r.rho_used, r.n_gradient, r.n_prox]
+def _json_value(v):
+    # RFC 8259 has no NaN or infinity; they travel as null
+    return v if isinstance(v, int) or math.isfinite(v) else None
 
 
 def write_trace(trace: Trace, fmt: str, path: str) -> None:
-    """Persist a trace: CSV (17 significant digits, LF endings) or JSON with a
-    run-metadata object."""
+    """Persist a trace: CSV (17 significant digits, LF endings) or strict JSON
+    (non-finite values as null) with a run-metadata object."""
     records = trace.all_records()
     if not records:
         raise UsageError("trace is empty")
@@ -121,39 +134,37 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
         buf = io.StringIO()
         buf.write(",".join(TRACE_COLUMNS) + "\n")
         for r in records:
-            row = _record_row(r)
-            buf.write(",".join([str(row[0])] + [_fmt(v) for v in row[1:9]]
-                              + [str(row[9]), str(row[10])]) + "\n")
+            buf.write(",".join(str(getattr(r, f)) if t is int else _fmt(getattr(r, f))
+                               for _, f, t in TRACE_SCHEMA) + "\n")
         with open(path, "w", newline="") as fh:
             fh.write(buf.getvalue())
     elif fmt == "json":
-        payload = {
-            "metadata": {
-                "solver": trace.engine,
-                "seed": trace.seed,
-                "problem": trace.problem_name,
-                "termination": trace.termination,
-                "lambda0": trace.lambda0,
-            },
-            "records": [dict(zip(TRACE_COLUMNS, _record_row(r))) for r in records],
+        metadata = {
+            "solver": trace.engine,
+            "seed": trace.seed,
+            "problem": trace.problem_name,
+            "termination": trace.termination,
+            "lambda0": trace.lambda0,
         }
+        # one encoder call per record keeps memory flat in the trace length
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write('{"metadata": ' + json.dumps(metadata, allow_nan=False)
+                     + ', "records": [')
+            sep = "\n"
+            for r in records:
+                fh.write(sep + json.dumps({c: _json_value(getattr(r, f))
+                                           for c, f, _ in TRACE_SCHEMA},
+                                          allow_nan=False))
+                sep = ",\n"
+            fh.write("\n]}\n")
     else:
         raise UsageError(f"unknown trace format {fmt!r}")
 
 
 def _records_from_dicts(dicts) -> List[IterationRecord]:
-    recs = []
-    for d in dicts:
-        recs.append(IterationRecord(
-            k=int(d["k"]), f_value=float(d["f"]), F_value=float(d["F"]),
-            gradmap_norm=float(d["gradmap_norm"]), lam=float(d["lambda"]),
-            L_k=float(d["L_k"]), l_k=float(d["l_k"]), rho_used=float(d["rho"]),
-            elapsed_seconds=float(d["elapsed_s"]), n_value=0,
-            n_gradient=int(d["n_grad"]), n_prox=int(d["n_prox"])))
-    return recs
+    return [IterationRecord(n_value=0, **{f: math.nan if d[c] is None else t(d[c])
+                                          for c, f, t in TRACE_SCHEMA})
+            for d in dicts]
 
 
 def read_trace(path: str) -> Trace:
@@ -188,21 +199,10 @@ def read_trace(path: str) -> Trace:
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
-_RHO_NAMES = ("rho1", "rho2", "zero")
-
-
 def make_rho(name: str) -> RhoSequence:
-    if name == "rho1":
-        return RhoSequence.rho1()
-    if name == "rho2":
-        return RhoSequence.rho2()
-    if name == "zero":
-        return RhoSequence.zero()
-    raise UsageError(f"unknown rho sequence {name!r}; choose from {_RHO_NAMES}")
-
-
-def rho_name(seq: RhoSequence) -> str:
-    return seq.kind
+    if name not in RHO_NAMES:
+        raise UsageError(f"unknown rho sequence {name!r}; choose from {RHO_NAMES}")
+    return getattr(RhoSequence, name)()
 
 
 @dataclass
@@ -266,7 +266,7 @@ def save_config(config: ExperimentConfig, path: str) -> None:
         sec = f"solver {name}"
         cp[sec] = {
             "engine": sc.engine,
-            "rho": rho_name(sc.rho),
+            "rho": sc.rho.kind,
             "lambda0": _fmt(sc.lambda0),
             "max_iters": str(sc.max_iters),
             "tol": _fmt(sc.gradmap_tol),

@@ -171,11 +171,6 @@ def logistic_problem(design: SparseDesign, gamma: float,
         z = A @ x
         return float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * gamma * float(np.dot(x, x))
 
-    def gradient(x: Vector) -> Vector:
-        z = A @ x
-        sig = 1.0 / (1.0 + np.exp(-z))
-        return A.T @ (sig - y) / m + gamma * x
-
     def value_and_gradient(x: Vector):
         z = A @ x
         v = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * gamma * float(np.dot(x, x))
@@ -183,8 +178,8 @@ def logistic_problem(design: SparseDesign, gamma: float,
         return v, A.T @ (sig - y) / m + gamma * x
 
     known_L = lambda_max_ata(A) / (4.0 * m) + gamma
-    smooth = SmoothOracle(value=value, gradient=gradient,
-                          value_and_gradient=value_and_gradient, known_L=known_L)
+    smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient,
+                          known_L=known_L)
     h = penalty if penalty is not None else make_prox_term(Zero())
     return CompositeProblem(smooth=smooth, nonsmooth=h, name="logistic", dim=design.n)
 
@@ -221,15 +216,11 @@ def lasso_problem(A: np.ndarray, b: Vector, l1_weight: float) -> CompositeProble
         r = A @ x - b
         return 0.5 * float(np.dot(r, r))
 
-    def gradient(x: Vector) -> Vector:
-        return A.T @ (A @ x - b)
-
     def value_and_gradient(x: Vector):
         r = A @ x - b
         return 0.5 * float(np.dot(r, r)), A.T @ r
 
-    smooth = SmoothOracle(value=value, gradient=gradient,
-                          value_and_gradient=value_and_gradient,
+    smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient,
                           known_L=lambda_max_ata(A))
     return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(L1(l1_weight)),
                             name="lasso", dim=A.shape[1])
@@ -263,16 +254,12 @@ def quadratic_problem(eigenvalues: Sequence[float], seed: int = 0) -> CompositeP
     def value(x: Vector) -> float:
         return 0.5 * float(x @ Q @ x)
 
-    def gradient(x: Vector) -> Vector:
-        return Q @ x
-
     def value_and_gradient(x: Vector):
         g = Q @ x
         return 0.5 * float(np.dot(x, g)), g
 
     fstar = 0.0 if np.min(e) >= 0.0 else None
-    smooth = SmoothOracle(value=value, gradient=gradient,
-                          value_and_gradient=value_and_gradient,
+    smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient,
                           known_L=float(np.max(np.abs(e))))
     return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(Zero()),
                             known_fstar=fstar, name="quadratic", dim=e.size)
@@ -296,18 +283,12 @@ def nmf_problem(A: np.ndarray, shape: FactorShape) -> CompositeProblem:
         R = U @ V.T - A
         return 0.5 * float(np.sum(R * R))
 
-    def gradient(z: Vector) -> Vector:
-        U, V = shape.split(z)
-        R = U @ V.T - A
-        return shape.join(R @ V, R.T @ U)
-
     def value_and_gradient(z: Vector):
         U, V = shape.split(z)
         R = U @ V.T - A
         return 0.5 * float(np.sum(R * R)), shape.join(R @ V, R.T @ U)
 
-    smooth = SmoothOracle(value=value, gradient=gradient,
-                          value_and_gradient=value_and_gradient)
+    smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient)
     return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(NonnegIndicator()),
                             name="nmf", dim=shape.dim)
 
@@ -336,32 +317,18 @@ def mc_problem(obs: ObservationSet, shape: FactorShape) -> CompositeProblem:
     N = len(obs)
     oi, oj, s = obs.i, obs.j, obs.s
 
-    def _residual(U, V):
-        return np.einsum("kr,kr->k", U[oi], V[oj]) - s
+    def _terms(z: Vector):
+        """Factors, observed residuals, balance matrix and the value f(z)."""
+        U, V = shape.split(z)
+        res = np.einsum("kr,kr->k", U[oi], V[oj]) - s
+        M = U.T @ U - V.T @ V
+        return U, V, res, M, (float(np.dot(res, res)) + float(np.sum(M * M))) / (2.0 * N)
 
     def value(z: Vector) -> float:
-        U, V = shape.split(z)
-        res = _residual(U, V)
-        M = U.T @ U - V.T @ V
-        return (float(np.dot(res, res)) + float(np.sum(M * M))) / (2.0 * N)
-
-    def gradient(z: Vector) -> Vector:
-        U, V = shape.split(z)
-        res = _residual(U, V)
-        M = U.T @ U - V.T @ V
-        gU = np.zeros_like(U)
-        gV = np.zeros_like(V)
-        np.add.at(gU, oi, res[:, None] * V[oj])
-        np.add.at(gV, oj, res[:, None] * U[oi])
-        gU = gU / N + (2.0 / N) * (U @ M)
-        gV = gV / N - (2.0 / N) * (V @ M)
-        return shape.join(gU, gV)
+        return _terms(z)[-1]
 
     def value_and_gradient(z: Vector):
-        U, V = shape.split(z)
-        res = _residual(U, V)
-        M = U.T @ U - V.T @ V
-        v = (float(np.dot(res, res)) + float(np.sum(M * M))) / (2.0 * N)
+        U, V, res, M, v = _terms(z)
         gU = np.zeros_like(U)
         gV = np.zeros_like(V)
         np.add.at(gU, oi, res[:, None] * V[oj])
@@ -370,8 +337,7 @@ def mc_problem(obs: ObservationSet, shape: FactorShape) -> CompositeProblem:
         gV = gV / N - (2.0 / N) * (V @ M)
         return v, shape.join(gU, gV)
 
-    smooth = SmoothOracle(value=value, gradient=gradient,
-                          value_and_gradient=value_and_gradient)
+    smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient)
     return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(Zero()),
                             name="matrix_completion", dim=shape.dim)
 

@@ -24,7 +24,6 @@ from .adaptive import (
 )
 from .core import (
     CompositeProblem,
-    DegenerateStep,
     NumericalDomainError,
     SmoothOracle,
     UsageError,
@@ -40,7 +39,7 @@ MONITORED_ENGINES = ("adapgnc", "adapgnc-relaxed")
 _CURVATURE_ENGINES = ("adapgnc", "adapgnc-relaxed", "adapgnc-bb", "adgd")
 _RHO_ENGINES = ("adapgnc", "adapgnc-relaxed", "adapgnc-bb")
 
-TERMINATIONS = ("tol", "max_iters", "max_seconds", "stagnation")
+TERMINATIONS = ("tol", "max_iters", "max_seconds", "stagnation", "non_finite")
 
 
 @dataclass
@@ -120,6 +119,26 @@ class RunResult:
         return self.trace.termination
 
 
+_NO_CURVATURE = CurvaturePair(math.nan, math.nan)
+
+
+def _prox_step_record(problem: CompositeProblem, k: int, x: Vector, f: float,
+                      grad: Vector, lam: float, curv: CurvaturePair,
+                      rho_used: float, elapsed: float, keep: bool):
+    """x_next = prox_{lam h}(x - lam grad) and the record of iterate k, with
+    G_k = (x - x_next)/lam. Returns (x_next, record)."""
+    x_next = problem.prox_step(x - lam * grad, lam)
+    c = problem.counters
+    rec = IterationRecord(
+        k=k, f_value=f, F_value=f + problem.h_value(x),
+        gradmap_norm=float(np.linalg.norm(x_next - x)) / lam, lam=lam,
+        L_k=curv.L_k, l_k=curv.l_k, rho_used=rho_used, elapsed_seconds=elapsed,
+        n_value=c.n_value, n_gradient=c.n_gradient, n_prox=c.n_prox,
+        x=x.copy() if keep else None, grad=grad.copy() if keep else None,
+    )
+    return x_next, rec
+
+
 def init_first_step(problem: CompositeProblem, x0: Vector, lambda0: float,
                     keep: bool = False):
     """x1 = prox_{lambda0 h}(x0 - lambda0 grad f(x0)); records G_0 = (x0 - x1)/lambda0."""
@@ -130,16 +149,8 @@ def init_first_step(problem: CompositeProblem, x0: Vector, lambda0: float,
     f0, g0 = problem.f_value_gradient(x0)
     if not (np.isfinite(f0) and np.all(np.isfinite(g0))):
         raise NumericalDomainError("non-finite f or grad f at x0")
-    x1 = problem.prox_step(x0 - lambda0 * g0, lambda0)
-    g_map = float(np.linalg.norm(x0 - x1)) / lambda0
-    c = problem.counters
-    rec = IterationRecord(
-        k=0, f_value=f0, F_value=f0 + problem.h_value(x0), gradmap_norm=g_map,
-        lam=lambda0, L_k=math.nan, l_k=math.nan, rho_used=math.nan,
-        elapsed_seconds=0.0, n_value=c.n_value, n_gradient=c.n_gradient,
-        n_prox=c.n_prox,
-        x=x0.copy() if keep else None, grad=g0.copy() if keep else None,
-    )
+    x1, rec = _prox_step_record(problem, 0, x0, f0, g0, lambda0, _NO_CURVATURE,
+                                math.nan, 0.0, keep)
     return x1, (f0, g0), rec
 
 
@@ -150,9 +161,9 @@ def iterate(problem: CompositeProblem, state: StepState, config: SolverConfig,
     x_cur, grad_cur, f_cur = state.x_cur, state.grad_cur, state.f_cur
     k = state.k
 
-    curv = CurvaturePair(math.nan, math.nan)
+    curv = _NO_CURVATURE
     if config.engine in _CURVATURE_ENGINES:
-        curv = estimate_curvature(state)  # raises DegenerateStep when stalled
+        curv = estimate_curvature(state)
 
     rho_used = math.nan
     if config.engine in _RHO_ENGINES:
@@ -180,23 +191,16 @@ def iterate(problem: CompositeProblem, state: StepState, config: SolverConfig,
                                    known_L=problem.smooth.known_L)
             lam, _ = armijo_search(counted, x_cur, grad_cur, f_x=f_cur)
 
-    x_next = problem.prox_step(x_cur - lam * grad_cur, lam)
-    g_map = float(np.linalg.norm(x_next - x_cur)) / lam
-    c = problem.counters
-    rec = IterationRecord(
-        k=k, f_value=f_cur, F_value=f_cur + problem.h_value(x_cur),
-        gradmap_norm=g_map, lam=lam, L_k=curv.L_k, l_k=curv.l_k,
-        rho_used=rho_used, elapsed_seconds=elapsed,
-        n_value=c.n_value, n_gradient=c.n_gradient, n_prox=c.n_prox,
-        x=x_cur.copy() if keep else None, grad=grad_cur.copy() if keep else None,
-    )
+    x_next, rec = _prox_step_record(problem, k, x_cur, f_cur, grad_cur, lam, curv,
+                                    rho_used, elapsed, keep)
     return x_next, lam, rec
 
 
 def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         seed: Optional[int] = None) -> RunResult:
     """Drive the loop to the first of: gradient-mapping tolerance, iteration
-    cap, wall-clock budget, or stagnation (a fixed point, reported as success)."""
+    cap, wall-clock budget, stagnation (a fixed point, reported as success),
+    or a non-finite f_k or ||G_k|| (a failure; that record is not kept)."""
     config.validate()
     keep = config.keep_iterates or config.monitor
     problem.counters.reset()
@@ -224,8 +228,9 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
                 termination = "max_seconds"
                 break
             if config.engine in _CURVATURE_ENGINES:
-                # stagnation is decided before spending a gradient evaluation,
-                # keeping n_gradient = iterations + 1 exact
+                # the one stagnation test: it runs before the gradient
+                # evaluation, keeping n_gradient = iterations + 1 exact, and
+                # makes estimate_curvature's DegenerateStep unreachable here
                 nd = float(np.linalg.norm(x_cur - x_prev))
                 if nd <= DEGENERACY_REL * (1.0 + float(np.linalg.norm(x_cur))):
                     termination = "stagnation"
@@ -236,10 +241,9 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
                               f_prev=f_prev, f_cur=f_cur,
                               lambda_prev=lambda_prev,
                               lambda_prevprev=lambda_prevprev)
-            try:
-                x_next, lam, rec = iterate(problem, state, config, elapsed, keep=keep)
-            except DegenerateStep:
-                termination = "stagnation"
+            x_next, lam, rec = iterate(problem, state, config, elapsed, keep=keep)
+            if not (math.isfinite(rec.f_value) and math.isfinite(rec.gradmap_norm)):
+                termination = "non_finite"
                 break
             trace.records.append(rec)
             if rec.F_value < best_F:

@@ -117,3 +117,21 @@ def test_counters_audit_against_wrapper():
     c = problem.counters
     assert (c.n_value, c.n_gradient, c.n_prox) == (2, 2, 1)
     assert (calls["v"], calls["g"], calls["p"]) == (2, 2, 1)
+
+
+def test_smooth_oracle_derives_gradient_from_fused():
+    with pytest.raises(UsageError):
+        SmoothOracle(value=lambda x: 0.0)
+
+    def fused(x):
+        return 0.5 * float(x @ x), 2.0 * x
+
+    oracle = SmoothOracle(value=lambda x: 0.5 * float(x @ x), value_and_gradient=fused)
+    x = np.array([1.0, -2.0, 0.5])
+    assert np.array_equal(oracle.gradient(x), oracle.value_and_gradient(x)[1])
+    # the derived gradient binds the callable given, not the attribute, so a
+    # wrapper installed on one attribute never counts calls made through the other
+    calls = []
+    oracle.value_and_gradient = lambda x, inner=fused: calls.append(1) or inner(x)
+    oracle.gradient(x)
+    assert calls == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaprox import SolverConfig, UsageError, run
+from adaprox.adaptive import RHO_NAMES
 from adaprox.cli import cli_main
 from adaprox.harness import (
     TRACE_COLUMNS,
@@ -25,6 +26,7 @@ from adaprox.harness import (
     write_trace,
 )
 from adaprox.problems import quadratic_problem, rng
+from adaprox.solver import ENGINES
 
 
 class TestLibsvm:
@@ -139,6 +141,24 @@ class TestTracePersistence:
         assert back.engine == "adapgnc" and back.seed == 11
         assert back.termination == res.trace.termination
         assert [r.lam for r in back.records] == [r.lam for r in res.trace.records]
+
+    def test_json_is_strict_and_restores_nan(self, tmp_path):
+        res = small_result()
+        path = str(tmp_path / "t.json")
+        write_trace(res.trace, "json", path)
+
+        def reject(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        with open(path) as fh:
+            payload = json.loads(fh.read(), parse_constant=reject)
+        assert payload["records"][0]["L_k"] is None
+        back = read_trace(path)
+        for a, b in zip(res.trace.all_records(), back.all_records()):
+            for field in ("L_k", "l_k", "rho_used"):
+                av, bv = getattr(a, field), getattr(b, field)
+                assert av == bv or (math.isnan(av) and math.isnan(bv))
+        assert math.isnan(back.init.L_k) and math.isnan(back.init.rho_used)
 
     def test_unknown_format_rejected(self, tmp_path):
         res = small_result()
@@ -284,6 +304,33 @@ class TestCli:
                      "[solver branch]\nengine = adapgnc\nmax_iters = 10\n" % out_dir)
         assert cli_main(["bench", "--config", cfgfile]) == 0
         assert os.path.exists(os.path.join(out_dir, "summary.json"))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--solver", e] + (["--fixed-step", "0.2"] if e == "fixed" else []) for e in ENGINES]
+        + [["--rho", r] for r in RHO_NAMES],
+        ids=lambda flags: flags[1])
+    def test_solve_accepts_every_engine_and_rho(self, flags, capsys):
+        assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
+                         "--max-iters", "5"] + flags) == 0
+
+    def test_non_finite_run_exits_1(self, tmp_path, monkeypatch, capsys, nan_problem):
+        import adaprox.cli
+        import adaprox.harness
+
+        def build(spec, seed):
+            return nan_problem("f"), np.ones(3)
+
+        monkeypatch.setattr(adaprox.cli, "build_problem", build)
+        assert cli_main(["solve", "--max-iters", "20"]) == 1
+        assert "terminated by non_finite" in capsys.readouterr().out
+
+        monkeypatch.setattr(adaprox.harness, "build_problem", build)
+        cfgfile = str(tmp_path / "exp.ini")
+        with open(cfgfile, "w") as fh:
+            fh.write("[problem]\nkind = quadratic\n[run]\nseeds = 0\nout = %s\n"
+                     "[solver branch]\nmax_iters = 20\n" % (tmp_path / "out"))
+        assert cli_main(["bench", "--config", cfgfile]) == 1
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["solve", "--frobnicate"]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -47,14 +48,45 @@ class TestFixedStep:
             run(half_sq(), np.array([1.0]), SolverConfig(engine="newton"))
 
 
-def reference_two_steps(problem, x0, lam0):
-    """Independent transcription of two branch-rule iterations, mirroring the
+def branch_rule(L, l, lam_prev, lam_prevprev, rho_used):
+    cap = math.sqrt(1.0 + rho_used) * lam_prev
+    if l <= 0.0:
+        return min(cap, math.inf if L == 0.0 else 1.0 / L)
+    return min(cap, math.inf if L == 0.0 else 1.0 / (math.sqrt(2.0) * L),
+               math.sqrt(lam_prev / (2.0 * l)))
+
+
+def relaxed_rule(L, l, lam_prev, lam_prevprev, rho_used):
+    u = max(L**2 + l / lam_prev, 0.0)
+    return min(math.sqrt(1.0 + rho_used) * lam_prev,
+               math.inf if u == 0.0 else 1.0 / math.sqrt(u))
+
+
+def adgd_rule(L, l, lam_prev, lam_prevprev, rho_used):
+    return min(math.sqrt(1.0 + lam_prev / lam_prevprev) * lam_prev,
+               math.inf if L == 0.0 else 1.0 / (2.0 * L))
+
+
+FIXED_STEP = 0.004
+
+#: engine -> its step rule as a function of the secant estimates, the two
+#: previous steps and the growth term
+REFERENCE_RULES = {
+    "adapgnc": branch_rule,
+    "adapgnc-relaxed": relaxed_rule,
+    "adgd": adgd_rule,
+    "fixed": lambda L, l, lam_prev, lam_prevprev, rho_used: FIXED_STEP,
+}
+
+
+def reference_two_steps(problem, x0, lam0, rule=branch_rule):
+    """Independent transcription of two iterations of ``rule``, mirroring the
     production operation order so agreement must be bit-exact."""
     prox = problem.nonsmooth.prox
     f0, g0 = problem.smooth.value_and_gradient(x0)
     x1 = prox(x0 - lam0 * g0, lam0)
 
-    def one_step(x_prev, x_cur, g_prev, f_prev, lam_prev, rho_used):
+    def one_step(x_prev, x_cur, g_prev, f_prev, lam_prev, lam_prevprev, rho_used):
         f_cur, g_cur = problem.smooth.value_and_gradient(x_cur)
         dx = x_cur - x_prev
         nd = float(np.linalg.norm(dx))
@@ -62,18 +94,13 @@ def reference_two_steps(problem, x0, lam0):
         l = 2.0 * (f_cur - f_prev + float(np.dot(g_cur, -dx))) / nd**2
         if abs(l) < 1e-12 * max(1.0, L**2 * lam_prev):
             l = 0.0
-        cap = math.sqrt(1.0 + rho_used) * lam_prev
-        if l <= 0.0:
-            lam = min(cap, math.inf if L == 0.0 else 1.0 / L)
-        else:
-            lam = min(cap, math.inf if L == 0.0 else 1.0 / (math.sqrt(2.0) * L),
-                      math.sqrt(lam_prev / (2.0 * l)))
+        lam = rule(L, l, lam_prev, lam_prevprev, rho_used)
         x_next = prox(x_cur - lam * g_cur, lam)
         return x_next, lam, f_cur, g_cur
 
     rho_1 = 100.0 * math.log(2.0) ** 4 / 2.0**1.1
-    x2, lam1, f1, g1 = one_step(x0, x1, g0, f0, lam0, 1e10)
-    x3, lam2, f2, g2 = one_step(x1, x2, g1, f1, lam1, rho_1)
+    x2, lam1, f1, g1 = one_step(x0, x1, g0, f0, lam0, lam0, 1e10)
+    x3, lam2, f2, g2 = one_step(x1, x2, g1, f1, lam1, lam0, rho_1)
     return x1, x2, x3, (lam1, lam2), (f0, f1, f2)
 
 
@@ -81,15 +108,37 @@ def test_two_iterations_match_reference_bitwise():
     A, b, w = lasso_synthetic(12, 5, seed=21)
     problem = lasso_problem(A, b, w)
     x0 = np.zeros(5)
-    lam0 = 0.01
-    x1, x2, x3, lams, fs = reference_two_steps(problem, x0.copy(), lam0)
+    # lam0 = 0.01 lets the growth caps bind, 0.1 the curvature terms
+    for engine, lam0 in itertools.product(REFERENCE_RULES, (0.01, 0.1)):
+        x1, x2, x3, lams, fs = reference_two_steps(problem, x0.copy(), lam0,
+                                                   REFERENCE_RULES[engine])
 
-    res = run(problem, x0, SolverConfig(engine="adapgnc", lambda0=lam0, max_iters=2))
-    recs = res.trace.records
-    assert len(recs) == 2
-    assert np.array_equal(res.x_final, x3)
-    assert (recs[0].lam, recs[1].lam) == lams
-    assert (res.trace.init.f_value, recs[0].f_value, recs[1].f_value) == fs
+        res = run(problem, x0, SolverConfig(engine=engine, lambda0=lam0, max_iters=2,
+                                            fixed_step=FIXED_STEP))
+        recs = res.trace.records
+        case = (engine, lam0)
+        assert len(recs) == 2, case
+        assert np.array_equal(res.x_final, x3), case
+        assert (recs[0].lam, recs[1].lam) == lams, case
+        assert (res.trace.init.f_value, recs[0].f_value, recs[1].f_value) == fs, case
+
+
+NAN_ENGINES = ("adapgnc", "adapgnc-relaxed", "adapgnc-bb", "adgd", "fixed")
+
+
+@pytest.mark.parametrize("which", ["f", "grad"])
+@pytest.mark.parametrize("engine", NAN_ENGINES)
+def test_non_finite_oracle_ends_run(nan_problem, engine, which):
+    p = nan_problem(which)
+    cfg = SolverConfig(engine=engine, lambda0=0.1, max_iters=50,
+                       fixed_step=0.1 if engine == "fixed" else None)
+    res = run(p, np.ones(3), cfg)
+    assert res.termination == "non_finite"
+    # calls 1-4 evaluate x_0..x_3; the NaN at x_4 is not recorded
+    assert [r.k for r in res.trace.all_records()] == [0, 1, 2, 3]
+    for r in res.trace.all_records():
+        assert math.isfinite(r.f_value) and math.isfinite(r.gradmap_norm)
+    assert math.isfinite(res.best_F)
 
 
 def test_determinism_bit_identical_traces():
