@@ -396,18 +396,19 @@ def run_experiment(config: ExperimentConfig):
 
 
 def write_summary(rows: List[ComparisonRow], fhat: float, path: str) -> None:
+    """Strict JSON: the non-finite figures of failed cells are written as null."""
     payload = {
-        "fstar_hat": fhat,
+        "fstar_hat": _json_value(fhat),
         "rows": [
             {"solver": r.solver, "seed": r.seed, "iterations": r.iterations,
-             "grad_res": r.grad_res, "opt_gap": r.opt_gap,
+             "grad_res": _json_value(r.grad_res), "opt_gap": _json_value(r.opt_gap),
              "wall_seconds": r.wall_seconds, "termination": r.termination,
              "error": r.error}
             for r in rows
         ],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

@@ -1,18 +1,20 @@
 """Runtime verification of the descent and step-size inequalities that back
 the adaptive engines, replayed over an immutable solver trace.
 
-Checks are named
+Checks are reported under these names, in this order:
 
-  (a) fstar_free_descent   weighted objective + displacement decrease
-  (b) step_condition       lam^2 L^2 + (lam^2/lam_prev) l <= 1
-  (c) step_bounds          min(lam0, 1/(2L)) <= lam_k <= lam0 exp(P/2)
-  (d) omega_lower          recursion weights stay above their proven floor
-  (e) lyapunov             V_k descent and the 2 V_0/(omega lam k) complexity
-                           bound (plus its tighter realized-weight form)
-  (f) sum_bound            running sum lam_i^2 ||grad f + h'||^2 <= S
+  fstar_free_descent         weighted objective + displacement decrease
+  step_condition             lam^2 L^2 + (lam^2/lam_prev) l <= 1
+  step_bounds                min(lam0, 1/(2L)) <= lam_k <= lam0 exp(P/2)
+  omega_lower                recursion weights stay above their proven floor
+  lyapunov_descent           V_k descent
+  complexity_bound           min ||G||^2 <= 2 V_0/(omega lam k)
+  complexity_bound_realized  the same bound with the realized weights
+  sum_bound                  running sum lam_i^2 ||grad f + h'||^2 <= S
 
 Checks whose inputs are unavailable (no certified L, no reference optimum,
-iterates not retained) are reported as skipped, never silently passed.
+iterates not retained) are reported as skipped, never silently passed, and
+an observation whose margin is NaN fails its check.
 """
 
 from __future__ import annotations
@@ -33,21 +35,23 @@ class CheckResult:
     name: str
     passed: bool
     n_checked: int
-    worst_slack: float  # max over k of lhs - rhs_with_tolerance; <= 0 passes
+    worst_slack: float  # max over k of lhs - rhs_with_tolerance; <= 0 passes, NaN fails
     first_failure: Optional[Tuple[int, float, float]] = None  # (k, lhs, rhs)
 
-    def observe(self, k: int, lhs: float, rhs: float, tol: float) -> None:
-        self.n_checked += 1
-        margin = lhs - (rhs + tol)
-        if margin > self.worst_slack:
-            self.worst_slack = margin
-        if margin > 0.0 and self.first_failure is None:
-            self.passed = False
-            self.first_failure = (k, lhs, rhs)
 
-
-def _new_check(name: str) -> CheckResult:
-    return CheckResult(name=name, passed=True, n_checked=0, worst_slack=-math.inf)
+def _check(name: str, k, lhs, rhs, tol) -> CheckResult:
+    """The inequality lhs <= rhs + tol at every observation, in array order.
+    A margin that is not <= 0, NaN included, is a failure."""
+    k, lhs, rhs, tol = np.broadcast_arrays(k, lhs, rhs, tol)
+    margin = lhs - (rhs + tol)
+    bad = np.flatnonzero(~(margin <= 0.0))
+    first = None
+    if bad.size:
+        i = bad[0]
+        first = (int(k[i]), float(lhs[i]), float(rhs[i]))
+    worst = float(margin.max()) if margin.size else -math.inf
+    return CheckResult(name=name, passed=first is None, n_checked=margin.size,
+                       worst_slack=worst, first_failure=first)
 
 
 @dataclass
@@ -95,8 +99,10 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
                   known_L: Optional[float] = None) -> MonitorReport:
     """Replay every inequality the trace's engine is supposed to maintain.
 
-    Per-iteration tolerance is 1e-9 * (1 + |F(x_{k-1})|). Only traces of the
-    branch-rule engines are accepted; other engines carry no such guarantees.
+    The tolerance at k is 1e-9 * (1 + |F(x_{k-1})|), except for the bounds on
+    lam_k and omega_k: 1e-12 * max(1, bound), or max(1, lam0) for lam_upper.
+    Only traces of the branch-rule engines are accepted; other engines carry
+    no such guarantees.
     """
     if trace.engine not in MONITORED_ENGINES:
         raise UsageError(
@@ -105,133 +111,101 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
         known_L = problem.smooth.known_L
     if fstar is None and problem is not None:
         fstar = problem.known_fstar
+    have_consts = known_L is not None and rho_total_value is not None
 
-    recs = trace.records
+    recs, rs, lam0 = trace.records, trace.all_records(), trace.lambda0
     K = len(recs)
-    lam0 = trace.lambda0
-    # Index arrays over k = 0..K.
-    lam = np.empty(K + 1)
-    F = np.empty(K + 1)
-    G = np.empty(K + 1)
-    lam[0], F[0], G[0] = lam0, trace.init.F_value, trace.init.gradmap_norm
-    for r in recs:
-        lam[r.k], F[r.k], G[r.k] = r.lam, r.F_value, r.gradmap_norm
+
+    def column(records, name):
+        return np.fromiter((getattr(r, name) for r in records), float, len(records))
+
+    # Columns over k = 0..K, then their k-1 and k views over k = 1..K.
+    lam, F, G = column(rs, "lam"), column(rs, "F_value"), column(rs, "gradmap_norm")
+    lam[0] = lam0
+    lam_p, lam_k, F_p, F_k, G_p, G_k = lam[:-1], lam[1:], F[:-1], F[1:], G[:-1], G[1:]
+    ks = np.arange(1, K + 1)
+    tol = 1e-9 * (1.0 + np.abs(F_p))
+    w = lam_p / (2.0 * lam_k ** 2)
+    disp = w * (lam_k * G_k) ** 2
 
     report = MonitorReport()
 
-    def tol(k: int) -> float:
-        return 1e-9 * (1.0 + abs(F[k - 1]))
-
     # (a) objective-plus-displacement descent, free of F_*.
-    ca = _new_check("fstar_free_descent")
-    for k in range(1, K + 1):
-        w = lam[k - 1] / (2.0 * lam[k] ** 2)
-        lhs = F[k] + w * (lam[k] * G[k]) ** 2
-        rhs = F[k - 1] + w * (lam[k - 1] * G[k - 1]) ** 2 - 0.5 * lam[k - 1] * G[k - 1] ** 2
-        ca.observe(k, lhs, rhs, tol(k))
-    report.checks.append(ca)
+    report.checks.append(_check(
+        "fstar_free_descent", ks, F_k + disp,
+        F_p + w * (lam_p * G_p) ** 2 - 0.5 * lam_p * G_p ** 2, tol))
 
     # (b) the step condition every emitted lambda must satisfy.
-    cb = _new_check("step_condition")
-    for r in recs:
-        k = r.k
-        lhs = r.lam ** 2 * r.L_k ** 2 + (r.lam ** 2 / lam[k - 1]) * r.l_k
-        cb.observe(k, lhs, 1.0, tol(k))
-    report.checks.append(cb)
+    L_k, l_k = column(recs, "L_k"), column(recs, "l_k")
+    report.checks.append(_check(
+        "step_condition", ks, lam_k ** 2 * L_k ** 2 + (lam_k ** 2 / lam_p) * l_k,
+        1.0, tol))
 
     # (c) two-sided step bounds; needs a certified L and the rho total P.
-    if known_L is not None and rho_total_value is not None:
+    if have_consts:
         report.P = rho_total_value
-        report.lam_lower = min(lam0, 1.0 / (2.0 * known_L))
-        report.lam_upper = lam0 * _safe_exp(rho_total_value / 2.0)
-        cc = _new_check("step_bounds")
-        for k in range(K + 1):
-            # lower bound: lam_k >= lam_lower, phrased as lhs <= rhs
-            cc.observe(k, report.lam_lower, lam[k], 1e-12 * max(1.0, report.lam_lower))
-            cc.observe(k, lam[k], report.lam_upper, 1e-12 * max(1.0, lam0))
-        report.checks.append(cc)
+        lo = report.lam_lower = min(lam0, 1.0 / (2.0 * known_L))
+        hi = report.lam_upper = lam0 * _safe_exp(rho_total_value / 2.0)
+        # per k: the lower bound (lam_k >= lo as lhs <= rhs), then the upper
+        report.checks.append(_check(
+            "step_bounds", np.repeat(np.arange(K + 1), 2),
+            np.column_stack((np.full(K + 1, lo), lam)).ravel(),
+            np.column_stack((lam, np.full(K + 1, hi))).ravel(),
+            np.tile([1e-12 * max(1.0, lo), 1e-12 * max(1.0, lam0)], K + 1)))
     else:
         report.skipped.append("step_bounds")
 
     # (d) Lyapunov weights by the recursion (the product form over/underflows).
-    omega = np.empty(K + 1)
-    omega[0] = 1.0
-    rho_used = {r.k: r.rho_used for r in recs}
+    # rho[k] = rho_{k-1}, the value consumed by lambda_k; rho_{-1} = 0.
+    rho = np.concatenate(([0.0], column(recs, "rho_used")))
+    omega = np.ones(K + 1)
     for k in range(1, K + 1):
-        rho_km1 = rho_used[k]                       # consumed by lambda_k
-        rho_km2 = rho_used[k - 1] if k >= 2 else 0.0  # rho_{-1} = 0
         omega[k] = omega[k - 1] * lam[k] ** 2 / (
-            lam[k - 1] ** 2 * (1.0 + rho_km1) * math.sqrt(1.0 + rho_km2))
-    if known_L is not None and rho_total_value is not None:
-        report.omega_lower = (report.lam_lower ** 2 / lam0 ** 2) * _safe_exp(
+            lam[k - 1] ** 2 * (1.0 + rho[k]) * math.sqrt(1.0 + rho[k - 1]))
+    if have_consts:
+        om = report.omega_lower = (lo ** 2 / lam0 ** 2) * _safe_exp(
             -1.5 * rho_total_value)
-        cd = _new_check("omega_lower")
-        for k in range(1, K + 1):
-            cd.observe(k, report.omega_lower, omega[k],
-                       1e-12 * max(1.0, report.omega_lower))
-        report.checks.append(cd)
+        report.checks.append(_check("omega_lower", ks, om, omega[1:],
+                                    1e-12 * max(1.0, om)))
     else:
         report.skipped.append("omega_lower")
 
     # (e) Lyapunov descent and the complexity bound; needs a reference optimum.
     if fstar is not None and K >= 1:
-        V = np.empty(K + 1)
-        V[0] = F[0] - fstar + 0.5 * lam0 * G[0] ** 2
-        for k in range(1, K + 1):
-            w = lam[k - 1] / (2.0 * lam[k] ** 2)
-            V[k] = omega[k] * (F[k] - fstar + w * (lam[k] * G[k]) ** 2)
-        ce = _new_check("lyapunov_descent")
-        for k in range(1, K + 1):
-            ce.observe(k, V[k], V[k - 1] - 0.5 * omega[k] * lam[k - 1] * G[k - 1] ** 2,
-                       tol(k))
-        report.checks.append(ce)
-
-        cf_thm = _new_check("complexity_bound")
-        cf_real = _new_check("complexity_bound_realized")
-        have_consts = known_L is not None and rho_total_value is not None
-        min_gsq = math.inf
-        wsum = 0.0
-        for k in range(1, K + 1):
-            min_gsq = min(min_gsq, G[k - 1] ** 2)
-            wsum += omega[k] * lam[k - 1]
-            if have_consts:
-                denom = report.omega_lower * report.lam_lower * k
-                bound = math.inf if denom == 0.0 else 2.0 * V[0] / denom
-                cf_thm.observe(k, min_gsq, bound, tol(k))
-            cf_real.observe(k, min_gsq, 2.0 * V[0] / wsum, tol(k))
+        V0 = F[0] - fstar + 0.5 * lam0 * G[0] ** 2
+        V = np.concatenate(([V0], omega[1:] * (F_k - fstar + disp)))
+        report.checks.append(_check(
+            "lyapunov_descent", ks, V[1:],
+            V[:-1] - 0.5 * omega[1:] * lam_p * G_p ** 2, tol))
+        min_gsq = np.minimum.accumulate(G_p ** 2)
         if have_consts:
-            report.checks.append(cf_thm)
+            bound = np.full(K, math.inf) if om * lo == 0.0 else 2.0 * V0 / (om * lo * ks)
+            report.checks.append(_check("complexity_bound", ks, min_gsq, bound, tol))
         else:
             report.skipped.append("complexity_bound")
-        report.checks.append(cf_real)
+        report.checks.append(_check(
+            "complexity_bound_realized", ks, min_gsq,
+            2.0 * V0 / np.cumsum(omega[1:] * lam_p), tol))
     else:
         report.skipped.extend(["lyapunov_descent", "complexity_bound",
                                "complexity_bound_realized"])
 
     # (f) bound on the running weighted subgradient-residual sum; needs the
     # iterates and gradients retained plus the constants above.
-    have_vectors = K >= 1 and all(r.x is not None and r.grad is not None
-                                  for r in [trace.init] + recs)
-    if (fstar is not None and known_L is not None and rho_total_value is not None
-            and have_vectors):
-        V0 = F[0] - fstar + 0.5 * lam0 * G[0] ** 2
-        Lam, lo, om = report.lam_upper, report.lam_lower, report.omega_lower
-        if math.isinf(Lam) or om == 0.0:
+    have_vectors = K >= 1 and all(r.x is not None and r.grad is not None for r in rs)
+    if fstar is not None and have_consts and have_vectors:
+        if math.isinf(hi) or om == 0.0:
             report.S = math.inf
         else:
-            report.S = (Lam ** 2 / lo) * (2.0 * Lam ** 2 / (om * lo ** 2) * V0
-                                          + 2.0 * (F[0] - fstar))
-        cg = _new_check("sum_bound")
-        xs = {0: trace.init.x}
-        gs = {0: trace.init.grad}
-        for r in recs:
-            xs[r.k], gs[r.k] = r.x, r.grad
-        running = 0.0
-        for k in range(1, K + 1):
-            hp = implied_subgradient(xs[k - 1], xs[k], gs[k - 1], lam[k - 1])
-            running += lam[k] ** 2 * float(np.sum((gs[k] + hp) ** 2))
-            cg.observe(k, running, report.S, tol(k))
-        report.checks.append(cg)
+            report.S = (hi ** 2 / lo) * (2.0 * hi ** 2 / (om * lo ** 2) * V0
+                                         + 2.0 * (F[0] - fstar))
+        # one iterate pair at a time: stacking them would hold K x n floats
+        sq = np.empty(K)
+        for i, (prev, cur) in enumerate(zip(rs, recs)):
+            hp = implied_subgradient(prev.x, cur.x, prev.grad, lam[i])
+            sq[i] = np.sum((cur.grad + hp) ** 2)
+        report.checks.append(_check("sum_bound", ks, np.cumsum(lam_k ** 2 * sq),
+                                    report.S, tol))
     else:
         report.skipped.append("sum_bound")
 

@@ -57,8 +57,8 @@ class SolverConfig:
     def validate(self) -> None:
         if self.engine not in ENGINES:
             raise UsageError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
-        if not self.lambda0 > 0.0:
-            raise UsageError("lambda0 must be positive")
+        if not 0.0 < self.lambda0 < math.inf:
+            raise UsageError("lambda0 must be positive and finite")
         if self.max_iters < 0:
             raise UsageError("max_iters must be nonnegative")
         if not self.max_seconds > 0.0:
@@ -142,8 +142,8 @@ def _prox_step_record(problem: CompositeProblem, k: int, x: Vector, f: float,
 def init_first_step(problem: CompositeProblem, x0: Vector, lambda0: float,
                     keep: bool = False):
     """x1 = prox_{lambda0 h}(x0 - lambda0 grad f(x0)); records G_0 = (x0 - x1)/lambda0."""
-    if not lambda0 > 0.0:
-        raise UsageError("lambda0 must be positive")
+    if not 0.0 < lambda0 < math.inf:
+        raise UsageError("lambda0 must be positive and finite")
     x0 = as_point(x0)
     problem.check_point(x0)
     f0, g0 = problem.f_value_gradient(x0)

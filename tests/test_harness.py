@@ -23,6 +23,7 @@ from adaprox.harness import (
     save_config,
     summary_table,
     write_libsvm,
+    write_summary,
     write_trace,
 )
 from adaprox.problems import quadratic_problem, rng
@@ -248,6 +249,25 @@ class TestConfig:
         assert all(r.termination == "error" and r.error for r in rows)
         assert math.isnan(fhat)
 
+    def test_summary_with_failed_cell_is_strict_json(self, tmp_path):
+        cfg = self.make_config(tmp_path)
+        rows, _ = run_experiment(cfg)
+        cfg.problem = {"kind": "mc", "p": "2", "q": "2", "r": "1", "nobs": "99"}
+        failed, _ = run_experiment(cfg)
+        path = str(tmp_path / "summary.json")
+        write_summary(rows + failed[:1], math.nan, path)
+
+        def reject(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        with open(path) as fh:
+            payload = json.loads(fh.read(), parse_constant=reject)
+        assert payload["fstar_hat"] is None
+        bad = payload["rows"][-1]
+        assert bad["termination"] == "error"
+        assert bad["grad_res"] is None and bad["opt_gap"] is None
+        assert payload["rows"][0]["grad_res"] == rows[0].grad_res
+
 
 def test_build_problem_seed_determinism():
     p1, x1 = build_problem({"kind": "lasso", "m": "10", "n": "5"}, seed=2)
@@ -281,19 +301,32 @@ class TestCli:
                          "--fstar", "0.0"])
         assert code == 0
 
-    def test_check_corrupted_trace_exits_3(self, tmp_path, capsys):
+    @staticmethod
+    def check_corrupted(tmp_path, column, value) -> int:
+        """`adaprox check` on a JSON trace whose k=1 record has one value replaced."""
         out = str(tmp_path / "trace.json")
         assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
                          "--max-iters", "25", "--out", out,
                          "--format", "json"]) == 0
         with open(out) as fh:
             payload = json.load(fh)
-        payload["records"][1]["l_k"] = 50.0
+        payload["records"][1][column] = value
         with open(out, "w") as fh:
             json.dump(payload, fh)
-        code = cli_main(["check", out])
-        assert code == 3
+        return cli_main(["check", out])
+
+    def test_check_corrupted_trace_exits_3(self, tmp_path, capsys):
+        assert self.check_corrupted(tmp_path, "l_k", 50.0) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_check_nan_observation_exits_3(self, tmp_path, capsys):
+        assert self.check_corrupted(tmp_path, "F", None) == 3
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_solve_infinite_lambda0_exits_2(self, capsys):
+        assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
+                         "--lambda0", "inf"]) == 2
+        assert "lambda0" in capsys.readouterr().err
 
     def test_bench_ok(self, tmp_path, capsys):
         cfgfile = str(tmp_path / "exp.ini")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adaprox import (
     CompositeProblem,
@@ -16,8 +18,10 @@ from adaprox import (
     run,
 )
 from adaprox.adaptive import rho_total
+from adaprox.monitor import _check
 from adaprox.prox import Zero
 from adaprox.problems import lasso_problem, lasso_synthetic, quadratic_problem
+from adaprox.solver import init_first_step
 
 
 def half_sq():
@@ -46,6 +50,13 @@ class TestFixedStep:
     def test_unknown_engine_rejected(self):
         with pytest.raises(UsageError):
             run(half_sq(), np.array([1.0]), SolverConfig(engine="newton"))
+
+    @pytest.mark.parametrize("lam0", [0.0, -1.0, math.inf, math.nan])
+    def test_lambda0_must_be_positive_and_finite(self, lam0):
+        with pytest.raises(UsageError):
+            SolverConfig(lambda0=lam0).validate()
+        with pytest.raises(UsageError):
+            init_first_step(half_sq(), np.array([1.0]), lam0)
 
 
 def branch_rule(L, l, lam_prev, lam_prevprev, rho_used):
@@ -301,6 +312,60 @@ class TestMonitorIntegration:
                                     * math.sqrt(1.0 + r_km2))
             assert omega >= res.report.omega_lower * (1 - 1e-12)
         assert res.report.passed
+
+    @given(st.lists(st.tuples(st.floats(-2.0, 2.0) | st.just(math.nan),
+                              st.floats(-2.0, 2.0) | st.just(math.inf)),
+                    max_size=8))
+    def test_check_matches_scalar_loop(self, pairs):
+        lhs = np.array([a for a, _ in pairs])
+        rhs = np.array([b for _, b in pairs])
+        ks = np.arange(3, 3 + len(pairs))
+        margins = [a - (b + 0.1) for a, b in pairs]
+        worst = math.nan if any(map(math.isnan, margins)) else max(margins, default=-math.inf)
+        first = next(((int(k), a, b) for k, (a, b), m in zip(ks, pairs, margins)
+                      if not m <= 0.0), None)
+        c = _check("c", ks, lhs, rhs, 0.1)
+        assert c.n_checked == len(pairs) and c.passed == (first is None)
+        np.testing.assert_equal(c.worst_slack, worst)
+        np.testing.assert_equal(c.first_failure, first)
+
+    @pytest.mark.parametrize("field", ["F_value", "gradmap_norm", "lam", "L_k",
+                                       "l_k", "rho_used"])
+    def test_nan_observation_fails(self, field):
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+        res = run(p, np.ones(3), SolverConfig(engine="adapgnc", max_iters=30))
+        assert monitor_check(res.trace, p, rho_total(RhoSequence.rho2())).passed
+        setattr(res.trace.records[4], field, math.nan)
+        rep = monitor_check(res.trace, p, rho_total(RhoSequence.rho2()))
+        assert not rep.passed
+
+    @pytest.mark.parametrize("field, change, failures", [
+        ("F_value", lambda v: v + 1.0, {"fstar_free_descent": 5, "lyapunov_descent": 5}),
+        ("lam", lambda v: 1e-9, {"step_bounds": 5, "omega_lower": 5, "sum_bound": 6}),
+        ("lam", lambda v: 1e3, {"complexity_bound_realized": 5}),
+    ], ids=["F+1", "lam=1e-9", "lam=1e3"])
+    def test_each_check_has_a_failure_path(self, field, change, failures):
+        # corrupt the record for k=5 of a run whose bounds are not vacuous
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+        rho = RhoSequence.custom([1.0, 0.5, 0.25])
+        cfg = SolverConfig(engine="adapgnc", rho=rho, max_iters=30, keep_iterates=True)
+        res = run(p, np.ones(3), cfg)
+        assert monitor_check(res.trace, p, rho_total(rho)).passed
+        rec = res.trace.records[4]
+        setattr(rec, field, change(getattr(rec, field)))
+        rep = monitor_check(res.trace, p, rho_total(rho))
+        assert rep.skipped == []
+        for name, k in failures.items():
+            assert rep.check(name).first_failure[0] == k, name
+
+    def test_complexity_bound_failure_path(self):
+        # a reference optimum above F(x_0) makes V_0 negative
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+        rho = RhoSequence.custom([1.0, 0.5, 0.25])
+        res = run(p, np.ones(3), SolverConfig(engine="adapgnc", rho=rho, max_iters=30))
+        fstar = res.trace.init.F_value + 0.5 * res.trace.init.gradmap_norm ** 2 + 1.0
+        rep = monitor_check(res.trace, p, rho_total(rho), fstar=fstar)
+        assert rep.check("complexity_bound").first_failure[0] == 1
 
 
 def test_bb_engine_runs_on_convex_quadratic():
