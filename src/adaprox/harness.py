@@ -47,13 +47,10 @@ _LABEL_MAP = {"1": 1.0, "+1": 1.0, "0": 0.0, "-1": 0.0}
 
 def parse_libsvm(source) -> SparseDesign:
     """Parse `<label> <idx>:<val> ...` lines (1-based, strictly increasing
-    indices) into a 0-based SparseDesign. Blank lines and # comments skipped."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
-    rows: List[Tuple[Tuple[int, float], ...]] = []
-    labels: List[float] = []
+    indices) into a 0-based SparseDesign. Blank lines and # comments skipped.
+    ``source`` is a string or an iterable of lines, such as an open file."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    indptr, indices, data, labels = [0], [], [], []
     n_max = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -63,7 +60,6 @@ def parse_libsvm(source) -> SparseDesign:
         if tokens[0] not in _LABEL_MAP:
             raise ParseError(f"unknown label {tokens[0]!r}", lineno)
         labels.append(_LABEL_MAP[tokens[0]])
-        entries = []
         prev_idx = 0
         for tok in tokens[1:]:
             idx_s, _, val_s = tok.partition(":")
@@ -78,20 +74,22 @@ def parse_libsvm(source) -> SparseDesign:
                 raise ParseError("indices must be strictly increasing", lineno)
             if not math.isfinite(val):
                 raise ParseError(f"non-finite value in {tok!r}", lineno)
-            entries.append((idx - 1, val))
+            indices.append(idx - 1)
+            data.append(val)
             prev_idx = idx
         n_max = max(n_max, prev_idx)
-        rows.append(tuple(entries))
-    if not rows:
+        indptr.append(len(indices))
+    if not labels:
         raise UsageError("empty dataset")
-    return SparseDesign(m=len(rows), n=max(n_max, 1), rows=rows,
-                        labels=np.asarray(labels))
+    return SparseDesign(m=len(labels), n=max(n_max, 1), indptr=indptr,
+                        indices=indices, data=data, labels=labels)
 
 
 def write_libsvm(design: SparseDesign, stream) -> None:
-    for row, label in zip(design.rows, design.labels):
+    ptr, indices, data = design.indptr, design.indices.tolist(), design.data.tolist()
+    for label, lo, hi in zip(design.labels, ptr[:-1].tolist(), ptr[1:].tolist()):
         parts = ["1" if label == 1.0 else "0"]
-        parts.extend(f"{idx + 1}:{format(val, '.17g')}" for idx, val in row)
+        parts.extend(f"{j + 1}:{format(v, '.17g')}" for j, v in zip(indices[lo:hi], data[lo:hi]))
         stream.write(" ".join(parts) + "\n")
 
 
@@ -168,18 +166,13 @@ def _records_from_dicts(dicts) -> List[IterationRecord]:
 
 
 def read_trace(path: str) -> Trace:
-    """Load a persisted trace. CSV carries no metadata, so the engine defaults
-    to the primary branch rule there."""
+    """Load a persisted trace. CSV carries no metadata, so a CSV trace reads
+    back with no engine, no seed and lambda0 taken from its k=0 record."""
     if path.endswith(".json"):
         with open(path) as fh:
             payload = json.load(fh)
         meta = payload["metadata"]
         recs = _records_from_dicts(payload["records"])
-        engine = meta["solver"]
-        lambda0 = float(meta["lambda0"])
-        seed = meta.get("seed")
-        problem_name = meta.get("problem", "")
-        termination = meta.get("termination", "")
     else:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -187,13 +180,13 @@ def read_trace(path: str) -> Trace:
         if tuple(header) != TRACE_COLUMNS:
             raise UsageError(f"unexpected CSV header in {path}")
         recs = _records_from_dicts(dict(zip(TRACE_COLUMNS, ln.split(","))) for ln in lines[1:])
-        engine, seed, problem_name, termination = "adapgnc", None, "", ""
-        lambda0 = recs[0].lam if recs else 1.0
+        meta = {}
     if not recs or recs[0].k != 0:
         raise UsageError(f"trace {path} lacks the k=0 record")
-    return Trace(problem_name=problem_name, engine=engine, lambda0=lambda0,
-                 init=recs[0], records=recs[1:], termination=termination,
-                 seed=seed)
+    return Trace(problem_name=meta.get("problem", ""), engine=meta.get("solver"),
+                 lambda0=float(meta.get("lambda0", recs[0].lam)), init=recs[0],
+                 records=recs[1:], termination=meta.get("termination", ""),
+                 seed=meta.get("seed"))
 
 
 # ---------------------------------------------------------------------------

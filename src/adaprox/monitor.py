@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import CompositeProblem, UsageError
-from .prox import implied_subgradient
 from .solver import MONITORED_ENGINES, Trace
 
 
@@ -102,11 +101,12 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     The tolerance at k is 1e-9 * (1 + |F(x_{k-1})|), except for the bounds on
     lam_k and omega_k: 1e-12 * max(1, bound), or max(1, lam0) for lam_upper.
     Only traces of the branch-rule engines are accepted; other engines carry
-    no such guarantees.
+    no such guarantees, and a CSV trace names no engine.
     """
     if trace.engine not in MONITORED_ENGINES:
         raise UsageError(
-            f"monitor covers engines {MONITORED_ENGINES}, got {trace.engine!r}")
+            f"monitor covers engines {MONITORED_ENGINES}, got {trace.engine!r}; "
+            "only JSON traces record their engine")
     if known_L is None and problem is not None:
         known_L = problem.smooth.known_L
     if fstar is None and problem is not None:
@@ -199,10 +199,10 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
         else:
             report.S = (hi ** 2 / lo) * (2.0 * hi ** 2 / (om * lo ** 2) * V0
                                          + 2.0 * (F[0] - fstar))
-        # one iterate pair at a time: stacking them would hold K x n floats
+        # implied_subgradient's expression, unchecked; pairwise, not K x n floats
         sq = np.empty(K)
         for i, (prev, cur) in enumerate(zip(rs, recs)):
-            hp = implied_subgradient(prev.x, cur.x, prev.grad, lam[i])
+            hp = (prev.x - cur.x) / lam[i] - prev.grad
             sq[i] = np.sum((cur.grad + hp) ** 2)
         report.checks.append(_check("sum_bound", ks, np.cumsum(lam_k ** 2 * sq),
                                     report.S, tol))

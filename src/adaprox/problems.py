@@ -8,8 +8,8 @@ pairs (U, V) are flattened row-major as [vec(U); vec(V)].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,44 +28,46 @@ def rng(seed: int) -> np.random.Generator:
 
 @dataclass
 class SparseDesign:
-    """Row-sparse design matrix with binary labels."""
+    """m x n design with binary labels as CSR arrays: row i holds the strictly
+    increasing columns indices[indptr[i]:indptr[i+1]] and the same slice of data."""
 
     m: int
     n: int
-    rows: List[Tuple[Tuple[int, float], ...]]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     labels: np.ndarray
+    _A: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.m != len(self.rows) or self.m != len(self.labels):
-            raise UsageError("row count mismatch")
-        for i, row in enumerate(self.rows):
-            prev = -1
-            for idx, val in row:
-                if not 0 <= idx < self.n:
-                    raise UsageError(f"row {i}: index {idx} out of range [0, {self.n})")
-                if idx <= prev:
-                    raise UsageError(f"row {i}: indices must be strictly increasing")
-                if not math.isfinite(val):
-                    raise UsageError(f"row {i}: non-finite value")
-                prev = idx
+        data = np.asarray(self.data, dtype=np.float64)
+        try:
+            A = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.m, self.n))
+            A.check_format(full_check=True)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"invalid CSR design: {exc}") from None
+        # SciPy silently truncates fractional indices and entries past indptr[-1]
+        if not np.array_equal(A.indices, self.indices):
+            raise UsageError("indices must be integers and indptr end at their count")
+        if not A.has_canonical_format:
+            raise UsageError("column indices must be strictly increasing within each row")
+        if not np.all(np.isfinite(A.data)):
+            raise UsageError("non-finite value")
         self.labels = np.asarray(self.labels, dtype=np.float64)
+        if self.labels.shape != (self.m,):
+            raise UsageError("row count mismatch")
         if not np.all(np.isin(self.labels, (0.0, 1.0))):
             raise UsageError("labels must be 0/1")
+        self.indptr, self.indices, self.data, self._A = A.indptr, A.indices, A.data, A
 
     def matrix(self) -> sp.csr_matrix:
-        data, indices, indptr = [], [], [0]
-        for row in self.rows:
-            for idx, val in row:
-                indices.append(idx)
-                data.append(val)
-            indptr.append(len(indices))
-        return sp.csr_matrix((data, indices, indptr), shape=(self.m, self.n))
+        return self._A
 
     @staticmethod
     def from_dense(A: np.ndarray, labels) -> "SparseDesign":
-        A = np.asarray(A, dtype=np.float64)
-        rows = [tuple((j, float(v)) for j, v in enumerate(row) if v != 0.0) for row in A]
-        return SparseDesign(m=A.shape[0], n=A.shape[1], rows=rows, labels=labels)
+        A = sp.csr_matrix(np.asarray(A, dtype=np.float64))
+        return SparseDesign(m=A.shape[0], n=A.shape[1], indptr=A.indptr,
+                            indices=A.indices, data=A.data, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,8 @@ POWER_REL_TOL = 1e-10
 
 def lambda_max_ata(A) -> float:
     """Largest eigenvalue of A^T A by power iteration from the all-ones vector
-    (deterministic start keeps certified constants reproducible)."""
+    (a deterministic start keeps the estimate reproducible). The iterates
+    approach lambda_max from below, so the estimate can fall slightly short."""
     n = A.shape[1]
     v = np.ones(n) / math.sqrt(n)
     ev = 0.0
@@ -157,7 +160,8 @@ def logistic_problem(design: SparseDesign, gamma: float,
     """Mean binary cross-entropy with an L2-squared ridge of weight gamma.
 
     f(x) = (1/m) sum_i [log(1 + e^{z_i}) - y_i z_i] + (gamma/2) ||x||^2 with
-    z = A x; certified smoothness L = lambda_max(A^T A)/(4m) + gamma.
+    z = A x; known_L = lambda_max(A^T A)/(4m) + gamma with lambda_max estimated
+    from below by ``lambda_max_ata``, so it is not a certified upper bound.
     """
     if gamma < 0.0:
         raise UsageError("gamma must be nonnegative")

@@ -339,15 +339,15 @@ def test_criterion_7_oracle_suites():
             mono_bad += 1
 
     # bit-exact two-iteration replay (mirrors the production op order)
-    from test_solver import reference_two_steps
+    from test_solver import reference_steps
 
     A2, b2, w2 = lasso_synthetic(12, 5, seed=21)
     problem2 = lasso_problem(A2, b2, w2)
-    x1, x2, x3, lams, fs = reference_two_steps(problem2, np.zeros(5), 0.01)
+    xs, lams, _, _, _ = reference_steps(problem2, np.zeros(5), 0.01, 2)
     res = run(lasso_problem(A2, b2, w2), np.zeros(5),
               SolverConfig(engine="adapgnc", lambda0=0.01, max_iters=2), seed=0)
-    bit_exact = (np.array_equal(res.x_final, x3)
-                 and (res.trace.records[0].lam, res.trace.records[1].lam) == lams)
+    bit_exact = (np.array_equal(res.x_final, xs[-1])
+                 and [res.trace.records[0].lam, res.trace.records[1].lam] == lams[1:])
 
     elapsed = time.perf_counter() - t0
     ok = fd_bad == 0 and prox_bad == 0 and mono_bad == 0 and bit_exact \

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaprox import SolverConfig, UsageError, run
+from adaprox import SolverConfig, UsageError, monitor_check, run
 from adaprox.adaptive import RHO_NAMES
 from adaprox.cli import cli_main
 from adaprox.harness import (
@@ -34,7 +34,9 @@ class TestLibsvm:
     def test_basic_line(self):
         d = parse_libsvm("1 3:0.5 7:-1.2")
         assert (d.m, d.n) == (1, 7)
-        assert d.rows[0] == ((2, 0.5), (6, -1.2))
+        assert d.indptr.tolist() == [0, 2]
+        assert d.indices.tolist() == [2, 6]
+        assert d.data.tolist() == [0.5, -1.2]
         assert d.labels.tolist() == [1.0]
 
     def test_label_aliases(self):
@@ -85,7 +87,8 @@ class TestLibsvm:
         write_libsvm(d, buf)
         d2 = parse_libsvm(buf.getvalue())
         assert (d2.m, d2.n) == (d.m, d.n)
-        assert d2.rows == d.rows
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(d2, name), getattr(d, name))
         assert np.array_equal(d2.labels, d.labels)
 
 
@@ -165,6 +168,19 @@ class TestTracePersistence:
         res = small_result()
         with pytest.raises(UsageError):
             write_trace(res.trace, "yaml", str(tmp_path / "t.yaml"))
+
+    def test_csv_trace_names_no_engine(self, tmp_path, capsys):
+        """A CSV trace carries no engine, so it must not pass for an adapgnc one."""
+        res = small_result(engine="gd-ls")
+        path = str(tmp_path / "t.csv")
+        write_trace(res.trace, "csv", path)
+        back = read_trace(path)
+        assert back.engine is None
+        assert back.lambda0 == res.trace.lambda0
+        with pytest.raises(UsageError):
+            monitor_check(back)
+        assert cli_main(["check", path]) == 2
+        assert "JSON" in capsys.readouterr().err
 
     def test_csv_reader_rejects_foreign_header(self, tmp_path):
         path = str(tmp_path / "bad.csv")

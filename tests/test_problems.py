@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaprox import UsageError, composite_value, finite_difference_gradient
 from adaprox.problems import (
@@ -31,11 +33,88 @@ class TestContainers:
 
     def test_sparse_design_rejects_bad_labels(self):
         with pytest.raises(UsageError):
-            SparseDesign(m=1, n=2, rows=[((0, 1.0),)], labels=np.array([0.5]))
+            SparseDesign(m=1, n=2, indptr=[0, 1], indices=[0], data=[1.0],
+                         labels=np.array([0.5]))
 
     def test_sparse_design_rejects_unsorted_indices(self):
         with pytest.raises(UsageError):
-            SparseDesign(m=1, n=3, rows=[((2, 1.0), (0, 1.0))], labels=np.array([1.0]))
+            SparseDesign(m=1, n=3, indptr=[0, 2], indices=[2, 0], data=[1.0, 1.0],
+                         labels=np.array([1.0]))
+
+    @pytest.mark.parametrize("m, indptr, indices, data", [
+        (1, [0, 1], [0.5], [1.0]),            # fractional column index
+        (1, [0, 1], [0, 1], [1.0, 2.0]),      # entries past indptr[-1]
+        (2, [0, 2, 1], [0, 1], [1.0, 2.0]),   # decreasing indptr
+        (1, [0, 1], [0, 1], [1.0]),           # indices and data lengths differ
+        (1, [0, 1, 1], [0], [1.0]),           # indptr of the wrong length
+    ])
+    def test_sparse_design_rejects_malformed_arrays(self, m, indptr, indices, data):
+        with pytest.raises(UsageError):
+            SparseDesign(m=m, n=3, indptr=indptr, indices=indices, data=data,
+                         labels=[1.0] * m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sparse_design_validation_matches_row_loop(self, data):
+        """CSR validation accepts exactly the row lists the per-row loop of the
+        former tuple-per-row design accepted, and stores the same matrix."""
+        m = data.draw(st.integers(0, 4))
+        n = data.draw(st.integers(0, 5))
+        entry = st.tuples(st.integers(0, max(n - 1, 0)), st.sampled_from([1.0, -2.5, 1e300]))
+        rows = [sorted(dict(data.draw(st.lists(entry, max_size=n))).items()) for _ in range(m)]
+        labels = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m))
+        # at most one fault on an otherwise valid design; rows left as they are
+        # when the fault does not fit them
+        fault = data.draw(st.sampled_from(["none", "unsorted", "duplicate", "index",
+                                           "value", "label", "rows", "labels"]))
+        i = data.draw(st.integers(0, max(m - 1, 0)))
+        if fault == "unsorted" and m and len(rows[i]) > 1:
+            rows[i] = rows[i][::-1]
+        elif fault == "duplicate" and m and rows[i]:
+            rows[i] = rows[i] + rows[i][-1:]
+        elif fault == "index" and m:
+            rows[i] = rows[i] + [(data.draw(st.sampled_from([-1, n, n + 1])), 1.0)]
+        elif fault == "value" and m and rows[i]:
+            rows[i] = rows[i][:-1] + [(rows[i][-1][0], data.draw(
+                st.sampled_from([math.nan, math.inf, -math.inf])))]
+        elif fault == "label" and m:
+            labels[i] = data.draw(st.sampled_from([0.5, -1.0, math.nan]))
+        elif fault == "rows":
+            rows = rows[:-1] if data.draw(st.booleans()) else rows + [[]]
+        elif fault == "labels":
+            labels = labels[:-1] if data.draw(st.booleans()) else labels + [1.0]
+
+        def row_loop(m, n, rows, labels):
+            if m != len(rows) or m != len(labels):
+                raise UsageError("row count mismatch")
+            for row in rows:
+                prev = -1
+                for idx, val in row:
+                    if not 0 <= idx < n or idx <= prev or not math.isfinite(val):
+                        raise UsageError("bad entry")
+                    prev = idx
+            if not np.all(np.isin(np.asarray(labels, dtype=np.float64), (0.0, 1.0))):
+                raise UsageError("labels must be 0/1")
+
+        try:
+            row_loop(m, n, rows, labels)
+            want_ok = True
+        except UsageError:
+            want_ok = False
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        flat = [e for row in rows for e in row]
+        try:
+            d = SparseDesign(m=m, n=n, indptr=indptr, indices=[j for j, _ in flat],
+                             data=[v for _, v in flat], labels=np.array(labels))
+        except UsageError:
+            assert not want_ok, (m, n, rows, labels)
+            return
+        assert want_ok, (m, n, rows, labels)
+        dense = np.zeros((m, n))
+        for i, row in enumerate(rows):
+            for j, v in row:
+                dense[i, j] = v
+        assert np.array_equal(d.matrix().toarray(), dense)
 
     def test_factor_shape_split_join_round_trip(self):
         shape = FactorShape(p=3, q=2, r=2)
@@ -73,7 +152,8 @@ class TestLogistic:
         assert p.f_value(np.zeros(3)) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_empty_row_design(self):
-        d = SparseDesign(m=2, n=2, rows=[(), ((0, 1.0),)], labels=np.array([1.0, 0.0]))
+        d = SparseDesign(m=2, n=2, indptr=[0, 0, 1], indices=[0], data=[1.0],
+                         labels=np.array([1.0, 0.0]))
         p = logistic_problem(d, gamma=0.0)
         # z = (0, x_0); mean of log(1+e^0) - 1*0 and log(1+e^{x_0})
         x = np.array([1.0, 0.0])
@@ -81,7 +161,8 @@ class TestLogistic:
         assert p.f_value(x) == pytest.approx(want, rel=1e-15)
 
     def test_ridge_only_gradient(self):
-        d = SparseDesign(m=1, n=2, rows=[()], labels=np.array([0.0]))
+        d = SparseDesign(m=1, n=2, indptr=[0, 0], indices=[], data=[],
+                         labels=np.array([0.0]))
         p = logistic_problem(d, gamma=0.25)
         x = np.array([4.0, -8.0])
         assert np.allclose(p.f_gradient(x), 0.25 * x, atol=1e-15)
@@ -285,4 +366,5 @@ def test_generators_are_seed_deterministic():
     d1 = logistic_synthetic(6, 3, seed=42)
     d2 = logistic_synthetic(6, 3, seed=42)
     assert np.array_equal(d1.labels, d2.labels)
-    assert d1.rows == d2.rows
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(d1, name), getattr(d2, name))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaprox import (
@@ -20,7 +20,7 @@ from adaprox import (
 from adaprox.adaptive import rho_total
 from adaprox.monitor import _check
 from adaprox.prox import Zero
-from adaprox.problems import lasso_problem, lasso_synthetic, quadratic_problem
+from adaprox.problems import lasso_problem, lasso_synthetic, quadratic_problem, rng
 from adaprox.solver import init_first_step
 
 
@@ -90,29 +90,47 @@ REFERENCE_RULES = {
 }
 
 
-def reference_two_steps(problem, x0, lam0, rule=branch_rule):
-    """Independent transcription of two iterations of ``rule``, mirroring the
-    production operation order so agreement must be bit-exact."""
-    prox = problem.nonsmooth.prox
-    f0, g0 = problem.smooth.value_and_gradient(x0)
-    x1 = prox(x0 - lam0 * g0, lam0)
+def reference_steps(problem, x0, lam0, K, rule=branch_rule):
+    """Independent transcription of up to K iterations of ``rule`` with the
+    rho2 growth terms, mirroring the production operation order so agreement
+    must be bit-exact. Like the solver it stops early when ||x_k - x_{k-1}||
+    is degenerate or G_k = 0. Returns the iterates x_0..x_final and, for each
+    record k, the lists of lambda_k, f_k, F_k and ||G_k||."""
+    prox, h = problem.nonsmooth.prox, problem.nonsmooth.value
+    xs, lams, fs, Fs, Gs = [x0], [], [], [], []
 
-    def one_step(x_prev, x_cur, g_prev, f_prev, lam_prev, lam_prevprev, rho_used):
-        f_cur, g_cur = problem.smooth.value_and_gradient(x_cur)
+    def record(x, f, g, lam):
+        x_next = prox(x - lam * g, lam)
+        xs.append(x_next)
+        lams.append(lam)
+        fs.append(f)
+        Fs.append(f + float(h(x)))
+        Gs.append(float(np.linalg.norm(x_next - x)) / lam)
+
+    f_prev, g_prev = problem.smooth.value_and_gradient(x0)
+    record(x0, f_prev, g_prev, lam0)
+    lam_prevprev = lam0
+    for k in range(1, K + 1):
+        x_prev, x_cur = xs[-2], xs[-1]
         dx = x_cur - x_prev
         nd = float(np.linalg.norm(dx))
+        if Gs[-1] == 0.0 or nd <= 1e-15 * (1.0 + float(np.linalg.norm(x_cur))):
+            break
+        f_cur, g_cur = problem.smooth.value_and_gradient(x_cur)
         L = float(np.linalg.norm(g_cur - g_prev)) / nd
-        l = 2.0 * (f_cur - f_prev + float(np.dot(g_cur, -dx))) / nd**2
-        if abs(l) < 1e-12 * max(1.0, L**2 * lam_prev):
+        inner = float(np.dot(g_cur, -dx))
+        num = f_cur - f_prev + inner
+        if abs(num) < 1e-13 * (abs(f_cur) + abs(f_prev) + abs(inner)):
+            num = 0.0
+        l = 2.0 * num / nd**2
+        if abs(l) < 1e-12 * max(1.0, L**2 * lams[-1]):
             l = 0.0
-        lam = rule(L, l, lam_prev, lam_prevprev, rho_used)
-        x_next = prox(x_cur - lam * g_cur, lam)
-        return x_next, lam, f_cur, g_cur
-
-    rho_1 = 100.0 * math.log(2.0) ** 4 / 2.0**1.1
-    x2, lam1, f1, g1 = one_step(x0, x1, g0, f0, lam0, lam0, 1e10)
-    x3, lam2, f2, g2 = one_step(x1, x2, g1, f1, lam1, lam0, rho_1)
-    return x1, x2, x3, (lam1, lam2), (f0, f1, f2)
+        rho_used = 1e10 if k == 1 else 100.0 * math.log(k) ** 4 / k**1.1
+        lam = rule(L, l, lams[-1], lam_prevprev, rho_used)
+        lam_prevprev = lams[-1]
+        record(x_cur, f_cur, g_cur, lam)
+        f_prev, g_prev = f_cur, g_cur
+    return xs, lams, fs, Fs, Gs
 
 
 def test_two_iterations_match_reference_bitwise():
@@ -121,17 +139,43 @@ def test_two_iterations_match_reference_bitwise():
     x0 = np.zeros(5)
     # lam0 = 0.01 lets the growth caps bind, 0.1 the curvature terms
     for engine, lam0 in itertools.product(REFERENCE_RULES, (0.01, 0.1)):
-        x1, x2, x3, lams, fs = reference_two_steps(problem, x0.copy(), lam0,
-                                                   REFERENCE_RULES[engine])
+        xs, lams, fs, _, _ = reference_steps(problem, x0.copy(), lam0, 2,
+                                             REFERENCE_RULES[engine])
 
         res = run(problem, x0, SolverConfig(engine=engine, lambda0=lam0, max_iters=2,
                                             fixed_step=FIXED_STEP))
         recs = res.trace.records
         case = (engine, lam0)
         assert len(recs) == 2, case
-        assert np.array_equal(res.x_final, x3), case
-        assert (recs[0].lam, recs[1].lam) == lams, case
-        assert (res.trace.init.f_value, recs[0].f_value, recs[1].f_value) == fs, case
+        assert np.array_equal(res.x_final, xs[-1]), case
+        assert [recs[0].lam, recs[1].lam] == lams[1:], case
+        assert [res.trace.init.f_value, recs[0].f_value, recs[1].f_value] == fs, case
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_k_iterations_match_reference_bitwise(data):
+    seed = data.draw(st.integers(0, 2**16))
+    K = data.draw(st.integers(1, 30))
+    lam0 = data.draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0, 10.0]))
+    if data.draw(st.booleans()):
+        dim = data.draw(st.integers(1, 6))
+        eigs = data.draw(st.lists(st.floats(-1.0, 10.0), min_size=dim, max_size=dim))
+        problem = quadratic_problem(eigs, seed=seed)
+        x0 = rng(seed + 1).standard_normal(dim)
+    else:
+        n = data.draw(st.integers(1, 6))
+        A, b, w = lasso_synthetic(data.draw(st.integers(2, 12)), n, seed)
+        problem = lasso_problem(A, b, w)
+        x0 = rng(seed + 1).standard_normal(n)
+    xs, lams, _, Fs, Gs = reference_steps(problem, x0.copy(), lam0, K)
+
+    res = run(problem, x0, SolverConfig(engine="adapgnc", lambda0=lam0, max_iters=K))
+    recs = res.trace.all_records()
+    assert [r.lam for r in recs] == lams
+    assert [r.F_value for r in recs] == Fs
+    assert [r.gradmap_norm for r in recs] == Gs
+    assert np.array_equal(res.x_final, xs[-1])
 
 
 NAN_ENGINES = ("adapgnc", "adapgnc-relaxed", "adapgnc-bb", "adgd", "fixed")
