@@ -10,6 +10,7 @@ from .adaptive import (
     adgd_step,
     armijo_search,
     bb_step,
+    displacement,
     estimate_curvature,
     relaxed_step,
     rho_total,

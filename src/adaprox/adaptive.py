@@ -9,19 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaincc
 
-from .core import (
-    DegenerateStep,
-    LineSearchFailed,
-    NonconvexDetected,
-    SmoothOracle,
-    UsageError,
-    Vector,
-)
+from .core import DegenerateStep, LineSearchFailed, NonconvexDetected, UsageError, Vector
 
 #: Relative threshold below which ||x_cur - x_prev|| makes the secant
 #: estimators meaningless and the run is declared stationary.
@@ -51,11 +43,14 @@ class CurvaturePair:
 
 @dataclass
 class StepState:
-    """Rolling two-iterate window consumed by the step engines."""
+    """Rolling two-iterate window consumed by the step engines. ``dx`` and
+    ``nd`` are ``displacement(x_prev, x_cur)``, or None for an engine that
+    takes no secant."""
 
     k: int
-    x_prev: Vector
     x_cur: Vector
+    dx: Optional[Vector]
+    nd: Optional[float]
     grad_prev: Vector
     grad_cur: Vector
     f_prev: float
@@ -64,18 +59,24 @@ class StepState:
     lambda_prevprev: float
 
 
+def displacement(x_prev: Vector, x_cur: Vector):
+    """(dx, ||dx||) with dx = x_cur - x_prev. Raises DegenerateStep when ||dx||
+    is below the stationarity threshold."""
+    dx = x_cur - x_prev
+    nd = float(np.linalg.norm(dx))
+    if nd <= DEGENERACY_REL * (1.0 + float(np.linalg.norm(x_cur))):
+        raise DegenerateStep(f"||x_cur - x_prev|| = {nd}")
+    return dx, nd
+
+
 def estimate_curvature(state: StepState) -> CurvaturePair:
-    """Secant curvature estimates from consecutive iterates.
+    """Secant curvature estimates from the state's displacement dx.
 
     L_k = ||dg|| / ||dx||;  l_k = 2 (f_cur - f_prev + <grad_cur, -dx>) / ||dx||^2.
-    Raises DegenerateStep when ||dx|| is below the stationarity threshold.
     """
-    dx = state.x_cur - state.x_prev
-    nd = float(np.linalg.norm(dx))
-    if nd <= DEGENERACY_REL * (1.0 + float(np.linalg.norm(state.x_cur))):
-        raise DegenerateStep(f"||x_cur - x_prev|| = {nd} at k={state.k}")
+    nd = state.nd
     L_k = float(np.linalg.norm(state.grad_cur - state.grad_prev)) / nd
-    inner = float(np.dot(state.grad_cur, -dx))
+    inner = float(np.dot(state.grad_cur, -state.dx))
     num = state.f_cur - state.f_prev + inner
     cancel_scale = abs(state.f_cur) + abs(state.f_prev) + abs(inner)
     if abs(num) < L_NUMERATOR_SNAP * cancel_scale:
@@ -115,12 +116,10 @@ def relaxed_step(lambda_prev: float, rho_used: float, curv: CurvaturePair) -> fl
 
 
 def bb_step(lambda_prev: float, rho_used: float, dx: Vector, dg: Vector) -> float:
-    """Short Barzilai-Borwein step under the growth cap. Convex-setting only:
-    a nonpositive secant product is reported, not papered over."""
+    """Short Barzilai-Borwein step under the growth cap, for a nonzero dx as
+    ``displacement`` gives. Convex-setting only: a nonpositive secant product
+    is reported, not papered over."""
     _check_step_inputs(lambda_prev, rho_used)
-    nd = float(np.linalg.norm(dx))
-    if nd == 0.0:
-        raise UsageError("bb_step requires ||dx|| > 0")
     cap = math.sqrt(1.0 + rho_used) * lambda_prev
     dg_sq = float(np.dot(dg, dg))
     if dg_sq == 0.0:
@@ -140,8 +139,9 @@ def adgd_step(lambda_prev: float, lambda_prevprev: float, curv: CurvaturePair) -
     return min(math.sqrt(1.0 + theta) * lambda_prev, inv_2L)
 
 
-def armijo_search(oracle: SmoothOracle, x: Vector, grad: Vector, f_x: Optional[float] = None):
-    """Backtracking: smallest m >= 0 with
+def armijo_search(value: Callable[[Vector], float], x: Vector, grad: Vector,
+                  f_x: Optional[float] = None):
+    """Backtracking on f = ``value``: smallest m >= 0 with
     f(x - 1e-3 2^-m grad) <= f(x) - 1e-3 2^-(m+1) ||grad||^2.
 
     Returns (step, m). A cap of 60 halvings (step ~1e-21, below the double
@@ -151,10 +151,10 @@ def armijo_search(oracle: SmoothOracle, x: Vector, grad: Vector, f_x: Optional[f
     if g_sq == 0.0:
         raise UsageError("armijo_search requires a nonzero gradient")
     if f_x is None:
-        f_x = float(oracle.value(x))
+        f_x = float(value(x))
     for m in range(ARMIJO_MAX_HALVINGS + 1):
         step = ARMIJO_BASE * 2.0**-m
-        if float(oracle.value(x - step * grad)) <= f_x - 0.5 * step * g_sq:
+        if float(value(x - step * grad)) <= f_x - 0.5 * step * g_sq:
             return step, m
     raise LineSearchFailed(f"no sufficient decrease within {ARMIJO_MAX_HALVINGS} halvings")
 
@@ -234,23 +234,12 @@ def rho_value(seq: RhoSequence, k: int, lambda_ratio: Optional[float] = None) ->
     return min(lambda_ratio, _rho2_term(k))
 
 
-_RHO2_PARTIAL_TERMS = 100_000
-
-
-def _rho2_series_upper() -> float:
-    # Partial sum plus an integral tail bound. With u = ln(x+1) the tail
-    # integral becomes 1e7 * Integral_{s0}^inf s^4 exp(-s) ds, s0 = 0.1 ln(K+1);
-    # the summand is decreasing from k ~ 40 on, so the integral dominates the tail.
-    partial = 0.0
-    for k in range(_RHO2_PARTIAL_TERMS, 0, -1):  # small-to-large magnitudes
-        partial += _rho2_term(k)
-    K = _RHO2_PARTIAL_TERMS
-    s0 = 0.1 * math.log(K + 1)
-    tail = 100.0 * 1e5 * math.gamma(5) * float(gammaincc(5, s0))
-    return partial + tail
-
-
-_RHO2_SERIES_UPPER_CACHE: Optional[float] = None
+#: Upper bound on sum_{k>=1} of the rho2 terms: the partial sum over
+#: 1 <= k <= 100000, added small terms first, plus the integral tail bound
+#: 1e7 * Gamma(5, 0.1 ln(100001)) (with u = ln(x+1) the tail integral becomes
+#: 1e7 * Integral s^4 exp(-s) ds; the summand decreases from k ~ 40 on, so
+#: the integral dominates the tail).
+RHO2_SERIES_UPPER = 240000003.00234416
 
 
 def rho_total(seq: RhoSequence) -> float:
@@ -259,11 +248,8 @@ def rho_total(seq: RhoSequence) -> float:
     For rho1 the realized sum is data dependent; the rho2 total bounds it
     from above (each rho1 term is capped by the rho2 term).
     """
-    global _RHO2_SERIES_UPPER_CACHE
     if seq.kind == "zero":
         return seq.rho0
     if seq.kind == "custom":
         return float(sum(seq.table))
-    if _RHO2_SERIES_UPPER_CACHE is None:
-        _RHO2_SERIES_UPPER_CACHE = _rho2_series_upper()
-    return seq.rho0 + _RHO2_SERIES_UPPER_CACHE
+    return seq.rho0 + RHO2_SERIES_UPPER

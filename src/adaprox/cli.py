@@ -40,7 +40,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", default="adapgnc", choices=ENGINES)
     p.add_argument("--rho", default="rho2", choices=RHO_NAMES)
     p.add_argument("--lambda0", type=float, default=1.0)
-    p.add_argument("--fixed-step", type=float, default=None)
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--max-seconds", type=float, default=math.inf)
@@ -99,9 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     problem, x0 = build_problem(_problem_spec(args), args.seed)
     config = SolverConfig(engine=args.solver, rho=make_rho(args.rho),
-                          lambda0=args.lambda0, fixed_step=args.fixed_step,
-                          max_iters=args.max_iters, max_seconds=args.max_seconds,
-                          gradmap_tol=args.tol, monitor=args.monitor)
+                          lambda0=args.lambda0, max_iters=args.max_iters,
+                          max_seconds=args.max_seconds, gradmap_tol=args.tol,
+                          monitor=args.monitor)
     result = run(problem, x0, config, seed=args.seed)
     trace = result.trace
     print(f"{problem.name}: {args.solver} terminated by {trace.termination} "

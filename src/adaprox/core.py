@@ -118,10 +118,6 @@ class CompositeProblem:
         self.counters.n_value += 1
         return float(self.smooth.value(x))
 
-    def f_gradient(self, x: Vector) -> Vector:
-        self.counters.n_gradient += 1
-        return self.smooth.gradient(x)
-
     def f_value_gradient(self, x: Vector) -> tuple:
         self.counters.n_value += 1
         self.counters.n_gradient += 1

@@ -232,11 +232,13 @@ def load_config(path: str) -> ExperimentConfig:
             continue
         name = section[len("solver "):]
         s = cp[section]
+        unknown = set(s) - {"engine", "rho", "lambda0", "max_iters", "max_seconds", "tol"}
+        if unknown:
+            raise UsageError(f"[{section}] has unknown keys {sorted(unknown)}")
         sc = SolverConfig(
             engine=s.get("engine", "adapgnc"),
             rho=make_rho(s.get("rho", "rho2")),
             lambda0=s.getfloat("lambda0", 1.0),
-            fixed_step=s.getfloat("fixed_step", fallback=None),
             max_iters=s.getint("max_iters", 1000),
             max_seconds=s.getfloat("max_seconds", math.inf),
             gradmap_tol=s.getfloat("tol", 0.0),
@@ -264,8 +266,6 @@ def save_config(config: ExperimentConfig, path: str) -> None:
             "max_iters": str(sc.max_iters),
             "tol": _fmt(sc.gradmap_tol),
         }
-        if sc.fixed_step is not None:
-            cp[sec]["fixed_step"] = _fmt(sc.fixed_step)
         if math.isfinite(sc.max_seconds):
             cp[sec]["max_seconds"] = _fmt(sc.max_seconds)
     with open(path, "w") as fh:

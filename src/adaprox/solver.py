@@ -10,7 +10,6 @@ from typing import List, Optional
 import numpy as np
 
 from .adaptive import (
-    DEGENERACY_REL,
     CurvaturePair,
     RhoSequence,
     StepState,
@@ -18,14 +17,15 @@ from .adaptive import (
     adgd_step,
     armijo_search,
     bb_step,
+    displacement,
     estimate_curvature,
     relaxed_step,
     rho_value,
 )
 from .core import (
     CompositeProblem,
+    DegenerateStep,
     NumericalDomainError,
-    SmoothOracle,
     UsageError,
     Vector,
     as_point,
@@ -47,7 +47,6 @@ class SolverConfig:
     engine: str = "adapgnc"
     rho: RhoSequence = field(default_factory=RhoSequence.rho2)
     lambda0: float = 1.0
-    fixed_step: Optional[float] = None
     max_iters: int = 1000
     max_seconds: float = math.inf
     gradmap_tol: float = 0.0
@@ -65,8 +64,6 @@ class SolverConfig:
             raise UsageError("max_seconds must be positive")
         if self.gradmap_tol < 0.0:
             raise UsageError("gradmap_tol must be nonnegative")
-        if self.engine == "fixed" and not (self.fixed_step and self.fixed_step > 0.0):
-            raise UsageError("fixed engine needs fixed_step > 0")
 
 
 @dataclass
@@ -177,19 +174,16 @@ def iterate(problem: CompositeProblem, state: StepState, config: SolverConfig,
     elif config.engine == "adapgnc-relaxed":
         lam = relaxed_step(state.lambda_prev, rho_used, curv)
     elif config.engine == "adapgnc-bb":
-        lam = bb_step(state.lambda_prev, rho_used,
-                      x_cur - state.x_prev, grad_cur - state.grad_prev)
+        lam = bb_step(state.lambda_prev, rho_used, state.dx, grad_cur - state.grad_prev)
     elif config.engine == "adgd":
         lam = adgd_step(state.lambda_prev, state.lambda_prevprev, curv)
     elif config.engine == "fixed":
-        lam = config.fixed_step
+        lam = config.lambda0
     else:  # gd-ls
         if float(np.dot(grad_cur, grad_cur)) == 0.0:
             lam = state.lambda_prev  # stationary for smooth f; loop stops on tol
         else:
-            counted = SmoothOracle(value=problem.f_value, gradient=problem.f_gradient,
-                                   known_L=problem.smooth.known_L)
-            lam, _ = armijo_search(counted, x_cur, grad_cur, f_x=f_cur)
+            lam, _ = armijo_search(problem.f_value, x_cur, grad_cur, f_x=f_cur)
 
     x_next, rec = _prox_step_record(problem, k, x_cur, f_cur, grad_cur, lam, curv,
                                     rho_used, elapsed, keep)
@@ -227,16 +221,17 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
             if elapsed >= config.max_seconds:
                 termination = "max_seconds"
                 break
+            dx = nd = None
             if config.engine in _CURVATURE_ENGINES:
                 # the one stagnation test: it runs before the gradient
-                # evaluation, keeping n_gradient = iterations + 1 exact, and
-                # makes estimate_curvature's DegenerateStep unreachable here
-                nd = float(np.linalg.norm(x_cur - x_prev))
-                if nd <= DEGENERACY_REL * (1.0 + float(np.linalg.norm(x_cur))):
+                # evaluation, keeping n_gradient = iterations + 1 exact
+                try:
+                    dx, nd = displacement(x_prev, x_cur)
+                except DegenerateStep:
                     termination = "stagnation"
                     break
             f_cur, grad_cur = problem.f_value_gradient(x_cur)
-            state = StepState(k=k, x_prev=x_prev, x_cur=x_cur,
+            state = StepState(k=k, x_cur=x_cur, dx=dx, nd=nd,
                               grad_prev=grad_prev, grad_cur=grad_cur,
                               f_prev=f_prev, f_cur=f_cur,
                               lambda_prev=lambda_prev,

@@ -230,7 +230,7 @@ def test_criterion_5_baseline_dominance():
 
     n_ada = lasso_iters("adapgnc", lambda0=1e-3)
     n_adgd = lasso_iters("adgd", lambda0=1e-3)
-    n_fixed = lasso_iters("fixed", fixed_step=1.0 / L, lambda0=1.0 / L)
+    n_fixed = lasso_iters("fixed", lambda0=1.0 / L)
     lasso_ok = n_ada <= 1.5 * n_adgd and n_ada <= n_fixed
 
     # logistic: short-BB variant vs the ratio-capped baseline, majority of seeds

@@ -18,6 +18,7 @@ from adaprox import (
     adgd_step,
     armijo_search,
     bb_step,
+    displacement,
     estimate_curvature,
     relaxed_step,
     rho_total,
@@ -28,7 +29,8 @@ from adaprox import (
 def quadratic_state(a, x_prev, x_cur, lambda_prev=1.0):
     # f = a/2 x^2 in 1-D, grad = a x
     xp, xc = np.array([x_prev]), np.array([x_cur])
-    return StepState(k=1, x_prev=xp, x_cur=xc,
+    dx, nd = displacement(xp, xc)
+    return StepState(k=1, x_cur=xc, dx=dx, nd=nd,
                      grad_prev=a * xp, grad_cur=a * xc,
                      f_prev=0.5 * a * x_prev**2, f_cur=0.5 * a * x_cur**2,
                      lambda_prev=lambda_prev, lambda_prevprev=lambda_prev)
@@ -47,11 +49,15 @@ class TestCurvature:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateStep):
-            estimate_curvature(quadratic_state(1.0, 2.0, 2.0))
+            displacement(np.array([2.0]), np.array([2.0]))
+        # the threshold is relative: 1e-15 (1 + ||x_cur||)
+        assert displacement(np.array([0.0]), np.array([2e-15]))[1] == 2e-15
+        with pytest.raises(DegenerateStep):
+            displacement(np.array([1e3]), np.array([1e3 + 1e-13]))
 
     def test_cancellation_snaps_to_convex_branch(self):
         s = quadratic_state(1.0, 2.0, 1.0)
-        s.f_cur = s.f_prev - float(np.dot(s.grad_cur, s.x_prev - s.x_cur)) + 1e-16
+        s.f_cur = s.f_prev - float(np.dot(s.grad_cur, -s.dx)) + 1e-16
         curv = estimate_curvature(s)
         assert curv.l_k == 0.0
 
@@ -124,7 +130,7 @@ class TestAdGD:
 class TestArmijo:
     def test_well_scaled_accepts_first_trial(self):
         oracle = SmoothOracle(value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x)
-        step, m = armijo_search(oracle, np.array([1.0]), np.array([1.0]))
+        step, m = armijo_search(oracle.value, np.array([1.0]), np.array([1.0]))
         assert (step, m) == (1e-3, 0)
 
     def test_stiff_needs_backtracking(self):
@@ -132,7 +138,7 @@ class TestArmijo:
         oracle = SmoothOracle(value=lambda x: 0.5 * a * float(x @ x),
                               gradient=lambda x: a * x)
         x = np.array([1.0])
-        step, m = armijo_search(oracle, x, a * x)
+        step, m = armijo_search(oracle.value, x, a * x)
         assert m >= 1
         # independent brute check of the accepted and rejected trials
         g_sq = float(a * a)
@@ -145,13 +151,13 @@ class TestArmijo:
     def test_zero_gradient_rejected(self):
         oracle = SmoothOracle(value=lambda x: 0.0, gradient=lambda x: x)
         with pytest.raises(UsageError):
-            armijo_search(oracle, np.array([1.0]), np.array([0.0]))
+            armijo_search(oracle.value, np.array([1.0]), np.array([0.0]))
 
     def test_halving_cap(self):
         # value oracle that never shows sufficient decrease
         oracle = SmoothOracle(value=lambda x: 0.0, gradient=lambda x: x)
         with pytest.raises(LineSearchFailed):
-            armijo_search(oracle, np.array([1.0]), np.array([1.0]), f_x=-1.0)
+            armijo_search(oracle.value, np.array([1.0]), np.array([1.0]), f_x=-1.0)
 
 
 class TestRhoSequences:
@@ -193,6 +199,21 @@ class TestRhoSequences:
         # and the bound is not absurdly loose: close to the scale of the
         # full integral 100 * 1e5 * Gamma(5) = 2.4e8
         assert series < 1.05 * 100.0 * 1e5 * 24.0
+
+    def test_rho2_series_constant_recomputed(self):
+        # the committed constant is the partial sum over k <= 1e5 (small
+        # terms first) plus the integral tail 1e7 * Gamma(5, 0.1 ln(1e5 + 1))
+        from scipy.special import gammaincc
+
+        from adaprox.adaptive import RHO2_SERIES_UPPER
+
+        K = 100_000
+        partial = 0.0
+        for k in range(K, 0, -1):
+            partial += 100.0 * math.log(k + 1) ** 4 / (k + 1) ** 1.1
+        tail = 100.0 * 1e5 * math.gamma(5) * float(gammaincc(5, 0.1 * math.log(K + 1)))
+        assert partial + tail == RHO2_SERIES_UPPER
+        assert rho_total(RhoSequence.rho2(rho0=0.0)) == RHO2_SERIES_UPPER
 
     def test_rho_total_rho1_uses_rho2_bound(self):
         assert rho_total(RhoSequence.rho1()) == rho_total(RhoSequence.rho2())

@@ -111,12 +111,11 @@ def test_counters_audit_against_wrapper():
         nonsmooth=ProxTerm(value=lambda x: 0.0, prox=prox))
     x = np.ones(4)
     problem.f_value(x)
-    problem.f_gradient(x)
     problem.f_value_gradient(x)
     problem.prox_step(x, 0.5)
     c = problem.counters
-    assert (c.n_value, c.n_gradient, c.n_prox) == (2, 2, 1)
-    assert (calls["v"], calls["g"], calls["p"]) == (2, 2, 1)
+    assert (c.n_value, c.n_gradient, c.n_prox) == (2, 1, 1)
+    assert (calls["v"], calls["g"], calls["p"]) == (2, 1, 1)
 
 
 def test_smooth_oracle_derives_gradient_from_fused():

@@ -94,8 +94,7 @@ class TestLibsvm:
 
 def small_result(max_iters=8, engine="adapgnc", seed=3):
     p = quadratic_problem([0.5, 1.0, 2.0], seed=0)
-    cfg = SolverConfig(engine=engine, max_iters=max_iters,
-                       fixed_step=0.5 if engine == "fixed" else None)
+    cfg = SolverConfig(engine=engine, max_iters=max_iters)
     return run(p, np.ones(3), cfg, seed=seed)
 
 
@@ -195,8 +194,7 @@ class TestConfig:
         return ExperimentConfig(
             problem={"kind": "quadratic", "dim": "4", "eig_min": "0.5", "eig_max": "2.0"},
             solvers=[("branch", SolverConfig(engine="adapgnc", max_iters=15)),
-                     ("fixed", SolverConfig(engine="fixed", fixed_step=0.4,
-                                            max_iters=15))],
+                     ("fixed", SolverConfig(engine="fixed", lambda0=0.4, max_iters=15))],
             seeds=[0, 1],
             out_dir=str(tmp_path / "out"))
 
@@ -218,6 +216,14 @@ class TestConfig:
         with open(path, "w") as fh:
             fh.write("[problem]\nkind = quadratic\n")
         with pytest.raises(UsageError):
+            load_config(path)
+
+    def test_unknown_solver_key_rejected(self, tmp_path):
+        path = str(tmp_path / "bad.ini")
+        with open(path, "w") as fh:
+            fh.write("[problem]\nkind = quadratic\n[run]\nseeds = 0\n"
+                     "[solver f]\nengine = fixed\nlambda0 = 0.5\nfixed_step = 0.1\n")
+        with pytest.raises(UsageError, match="fixed_step"):
             load_config(path)
 
     def test_grid_rows_and_optgap(self, tmp_path):
@@ -356,7 +362,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--solver", e] + (["--fixed-step", "0.2"] if e == "fixed" else []) for e in ENGINES]
+        [["--solver", e] for e in ENGINES]
         + [["--rho", r] for r in RHO_NAMES],
         ids=lambda flags: flags[1])
     def test_solve_accepts_every_engine_and_rho(self, flags, capsys):
@@ -383,6 +389,8 @@ class TestCli:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["solve", "--frobnicate"]) == 2
+        # fixed steps at --lambda0; there is no separate step flag
+        assert cli_main(["solve", "--solver", "fixed", "--fixed-step", "0.2"]) == 2
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2

@@ -165,7 +165,7 @@ class TestLogistic:
                          labels=np.array([0.0]))
         p = logistic_problem(d, gamma=0.25)
         x = np.array([4.0, -8.0])
-        assert np.allclose(p.f_gradient(x), 0.25 * x, atol=1e-15)
+        assert np.allclose(p.smooth.gradient(x), 0.25 * x, atol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         d = logistic_synthetic(12, 4, seed=3)
@@ -266,7 +266,7 @@ class TestNMF:
         p = nmf_problem(np.array([[5.0]]), shape)
         z = np.array([2.0, 3.0])  # u = 2, v = 3, residual uv - a = 1
         assert p.f_value(z) == 0.5
-        assert p.f_gradient(z).tolist() == [3.0, 2.0]
+        assert p.smooth.gradient(z).tolist() == [3.0, 2.0]
 
     def test_exact_factorization_is_global_min(self):
         gen = rng(3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adaprox import (
     CompositeProblem,
+    NonconvexDetected,
     RhoSequence,
     SmoothOracle,
     SolverConfig,
@@ -34,7 +35,7 @@ def half_sq():
 class TestFixedStep:
     def test_geometric_decay(self):
         p = half_sq()
-        cfg = SolverConfig(engine="fixed", fixed_step=0.5, lambda0=0.5, max_iters=3)
+        cfg = SolverConfig(engine="fixed", lambda0=0.5, max_iters=3)
         res = run(p, np.array([1.0]), cfg)
         # x_{k+1} = x_k - 0.5 x_k, so x_k = 2^-k
         assert res.x_final[0] == 2.0**-4
@@ -42,10 +43,6 @@ class TestFixedStep:
         assert [r.F_value for r in res.trace.records] == [0.5 * 4.0**-k for k in (1, 2, 3)]
         assert res.trace.termination == "max_iters"
         assert res.best_F == 0.5 * 4.0**-3
-
-    def test_fixed_needs_step(self):
-        with pytest.raises(UsageError):
-            run(half_sq(), np.array([1.0]), SolverConfig(engine="fixed"))
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(UsageError):
@@ -59,7 +56,7 @@ class TestFixedStep:
             init_first_step(half_sq(), np.array([1.0]), lam0)
 
 
-def branch_rule(L, l, lam_prev, lam_prevprev, rho_used):
+def branch_rule(L, l, lam_prev, lam_prevprev, rho_used, dx, dg):
     cap = math.sqrt(1.0 + rho_used) * lam_prev
     if l <= 0.0:
         return min(cap, math.inf if L == 0.0 else 1.0 / L)
@@ -67,45 +64,66 @@ def branch_rule(L, l, lam_prev, lam_prevprev, rho_used):
                math.sqrt(lam_prev / (2.0 * l)))
 
 
-def relaxed_rule(L, l, lam_prev, lam_prevprev, rho_used):
+def relaxed_rule(L, l, lam_prev, lam_prevprev, rho_used, dx, dg):
     u = max(L**2 + l / lam_prev, 0.0)
     return min(math.sqrt(1.0 + rho_used) * lam_prev,
                math.inf if u == 0.0 else 1.0 / math.sqrt(u))
 
 
-def adgd_rule(L, l, lam_prev, lam_prevprev, rho_used):
+def bb_rule(L, l, lam_prev, lam_prevprev, rho_used, dx, dg):
+    cap = math.sqrt(1.0 + rho_used) * lam_prev
+    dg_sq = float(np.dot(dg, dg))
+    if dg_sq == 0.0:
+        return cap
+    num = float(np.dot(dg, dx))
+    if num <= 0.0:
+        raise NonconvexDetected(num)
+    return min(cap, num / dg_sq)
+
+
+def adgd_rule(L, l, lam_prev, lam_prevprev, rho_used, dx, dg):
     return min(math.sqrt(1.0 + lam_prev / lam_prevprev) * lam_prev,
                math.inf if L == 0.0 else 1.0 / (2.0 * L))
 
 
-FIXED_STEP = 0.004
+def fixed_rule(L, l, lam_prev, lam_prevprev, rho_used, dx, dg):
+    return lam_prev
+
 
 #: engine -> its step rule as a function of the secant estimates, the two
-#: previous steps and the growth term
+#: previous steps, the growth term, dx = x_k - x_{k-1} and dg = grad_k - grad_{k-1}
 REFERENCE_RULES = {
     "adapgnc": branch_rule,
     "adapgnc-relaxed": relaxed_rule,
+    "adapgnc-bb": bb_rule,
     "adgd": adgd_rule,
-    "fixed": lambda L, l, lam_prev, lam_prevprev, rho_used: FIXED_STEP,
+    "fixed": fixed_rule,
 }
 
 
 def reference_steps(problem, x0, lam0, K, rule=branch_rule):
     """Independent transcription of up to K iterations of ``rule`` with the
     rho2 growth terms, mirroring the production operation order so agreement
-    must be bit-exact. Like the solver it stops early when ||x_k - x_{k-1}||
-    is degenerate or G_k = 0. Returns the iterates x_0..x_final and, for each
-    record k, the lists of lambda_k, f_k, F_k and ||G_k||."""
+    must be bit-exact. Like the solver it stops early when G_k = 0, before a
+    record with a non-finite f_k or ||G_k||, and, for a rule that reads the
+    secant (all but ``fixed``), when ||x_k - x_{k-1}|| is degenerate. Returns
+    the iterates x_0..x_final and, for each record k, the lists of lambda_k,
+    f_k, F_k and ||G_k||."""
     prox, h = problem.nonsmooth.prox, problem.nonsmooth.value
+    secant = rule is not fixed_rule
     xs, lams, fs, Fs, Gs = [x0], [], [], [], []
 
     def record(x, f, g, lam):
         x_next = prox(x - lam * g, lam)
+        G = float(np.linalg.norm(x_next - x)) / lam
+        if not (math.isfinite(f) and math.isfinite(G)):
+            return False
         xs.append(x_next)
         lams.append(lam)
         fs.append(f)
         Fs.append(f + float(h(x)))
-        Gs.append(float(np.linalg.norm(x_next - x)) / lam)
+        Gs.append(G)
+        return True
 
     f_prev, g_prev = problem.smooth.value_and_gradient(x0)
     record(x0, f_prev, g_prev, lam0)
@@ -114,21 +132,24 @@ def reference_steps(problem, x0, lam0, K, rule=branch_rule):
         x_prev, x_cur = xs[-2], xs[-1]
         dx = x_cur - x_prev
         nd = float(np.linalg.norm(dx))
-        if Gs[-1] == 0.0 or nd <= 1e-15 * (1.0 + float(np.linalg.norm(x_cur))):
+        if Gs[-1] == 0.0 or secant and nd <= 1e-15 * (1.0 + float(np.linalg.norm(x_cur))):
             break
         f_cur, g_cur = problem.smooth.value_and_gradient(x_cur)
-        L = float(np.linalg.norm(g_cur - g_prev)) / nd
-        inner = float(np.dot(g_cur, -dx))
-        num = f_cur - f_prev + inner
-        if abs(num) < 1e-13 * (abs(f_cur) + abs(f_prev) + abs(inner)):
-            num = 0.0
-        l = 2.0 * num / nd**2
-        if abs(l) < 1e-12 * max(1.0, L**2 * lams[-1]):
-            l = 0.0
+        L = l = math.nan
+        if secant:
+            L = float(np.linalg.norm(g_cur - g_prev)) / nd
+            inner = float(np.dot(g_cur, -dx))
+            num = f_cur - f_prev + inner
+            if abs(num) < 1e-13 * (abs(f_cur) + abs(f_prev) + abs(inner)):
+                num = 0.0
+            l = 2.0 * num / nd**2
+            if abs(l) < 1e-12 * max(1.0, L**2 * lams[-1]):
+                l = 0.0
         rho_used = 1e10 if k == 1 else 100.0 * math.log(k) ** 4 / k**1.1
-        lam = rule(L, l, lams[-1], lam_prevprev, rho_used)
+        lam = rule(L, l, lams[-1], lam_prevprev, rho_used, dx, g_cur - g_prev)
         lam_prevprev = lams[-1]
-        record(x_cur, f_cur, g_cur, lam)
+        if not record(x_cur, f_cur, g_cur, lam):
+            break
         f_prev, g_prev = f_cur, g_cur
     return xs, lams, fs, Fs, Gs
 
@@ -142,8 +163,7 @@ def test_two_iterations_match_reference_bitwise():
         xs, lams, fs, _, _ = reference_steps(problem, x0.copy(), lam0, 2,
                                              REFERENCE_RULES[engine])
 
-        res = run(problem, x0, SolverConfig(engine=engine, lambda0=lam0, max_iters=2,
-                                            fixed_step=FIXED_STEP))
+        res = run(problem, x0, SolverConfig(engine=engine, lambda0=lam0, max_iters=2))
         recs = res.trace.records
         case = (engine, lam0)
         assert len(recs) == 2, case
@@ -152,9 +172,10 @@ def test_two_iterations_match_reference_bitwise():
         assert [res.trace.init.f_value, recs[0].f_value, recs[1].f_value] == fs, case
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_k_iterations_match_reference_bitwise(data):
+    engine = data.draw(st.sampled_from(sorted(REFERENCE_RULES)))
     seed = data.draw(st.integers(0, 2**16))
     K = data.draw(st.integers(1, 30))
     lam0 = data.draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0, 10.0]))
@@ -168,9 +189,16 @@ def test_k_iterations_match_reference_bitwise(data):
         A, b, w = lasso_synthetic(data.draw(st.integers(2, 12)), n, seed)
         problem = lasso_problem(A, b, w)
         x0 = rng(seed + 1).standard_normal(n)
-    xs, lams, _, Fs, Gs = reference_steps(problem, x0.copy(), lam0, K)
+    config = SolverConfig(engine=engine, lambda0=lam0, max_iters=K)
+    try:
+        xs, lams, _, Fs, Gs = reference_steps(problem, x0.copy(), lam0, K,
+                                              REFERENCE_RULES[engine])
+    except NonconvexDetected:
+        with pytest.raises(NonconvexDetected):
+            run(problem, x0, config)
+        return
 
-    res = run(problem, x0, SolverConfig(engine="adapgnc", lambda0=lam0, max_iters=K))
+    res = run(problem, x0, config)
     recs = res.trace.all_records()
     assert [r.lam for r in recs] == lams
     assert [r.F_value for r in recs] == Fs
@@ -185,8 +213,7 @@ NAN_ENGINES = ("adapgnc", "adapgnc-relaxed", "adapgnc-bb", "adgd", "fixed")
 @pytest.mark.parametrize("engine", NAN_ENGINES)
 def test_non_finite_oracle_ends_run(nan_problem, engine, which):
     p = nan_problem(which)
-    cfg = SolverConfig(engine=engine, lambda0=0.1, max_iters=50,
-                       fixed_step=0.1 if engine == "fixed" else None)
+    cfg = SolverConfig(engine=engine, lambda0=0.1, max_iters=50)
     res = run(p, np.ones(3), cfg)
     assert res.termination == "non_finite"
     # calls 1-4 evaluate x_0..x_3; the NaN at x_4 is not recorded
@@ -239,8 +266,8 @@ class TestTermination:
         p = CompositeProblem(
             smooth=SmoothOracle(value=slow_value, gradient=lambda x: x),
             nonsmooth=make_prox_term(Zero()))
-        cfg = SolverConfig(engine="fixed", fixed_step=1e-6, lambda0=1e-6,
-                           max_iters=10**8, max_seconds=0.05)
+        cfg = SolverConfig(engine="fixed", lambda0=1e-6, max_iters=10**8,
+                           max_seconds=0.05)
         res = run(p, np.array([1.0]), cfg)
         assert res.trace.termination == "max_seconds"
 
@@ -277,8 +304,8 @@ def test_min_gradmap_matches_independent_scan():
 class TestErgodicAverage:
     def test_weighted_mean_two_records(self):
         p = half_sq()
-        cfg = SolverConfig(engine="fixed", fixed_step=0.5, lambda0=0.5,
-                           max_iters=2, keep_iterates=True)
+        cfg = SolverConfig(engine="fixed", lambda0=0.5, max_iters=2,
+                           keep_iterates=True)
         res = run(p, np.array([1.0]), cfg)
         xs = [r.x for r in res.trace.records]
         # equal weights here, so the plain mean
@@ -295,7 +322,7 @@ class TestErgodicAverage:
     def test_requires_retained_iterates(self):
         p = half_sq()
         res = run(p, np.array([1.0]),
-                  SolverConfig(engine="fixed", fixed_step=0.5, max_iters=2))
+                  SolverConfig(engine="fixed", lambda0=0.5, max_iters=2))
         with pytest.raises(UsageError):
             ergodic_average(res.trace)
 
@@ -324,7 +351,7 @@ class TestMonitorIntegration:
     def test_unmonitored_engine_rejected(self):
         p = half_sq()
         res = run(p, np.array([1.0]),
-                  SolverConfig(engine="fixed", fixed_step=0.5, max_iters=3))
+                  SolverConfig(engine="fixed", lambda0=0.5, max_iters=3))
         with pytest.raises(UsageError):
             monitor_check(res.trace, p, 0.0)
 
@@ -436,9 +463,9 @@ def test_adgd_engine_converges():
 
 def test_keep_iterates_retains_vectors():
     p = half_sq()
-    on = run(p, np.array([1.0]), SolverConfig(engine="fixed", fixed_step=0.5,
+    on = run(p, np.array([1.0]), SolverConfig(engine="fixed", lambda0=0.5,
                                               max_iters=2, keep_iterates=True))
-    off = run(p, np.array([1.0]), SolverConfig(engine="fixed", fixed_step=0.5,
+    off = run(p, np.array([1.0]), SolverConfig(engine="fixed", lambda0=0.5,
                                                max_iters=2))
     assert on.trace.init.x is not None and on.trace.records[0].grad is not None
     assert off.trace.init.x is None and off.trace.records[0].x is None
