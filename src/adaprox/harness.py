@@ -45,10 +45,12 @@ class ParseError(UsageError):
 _LABEL_MAP = {"1": 1.0, "+1": 1.0, "0": 0.0, "-1": 0.0}
 
 
-def parse_libsvm(source) -> SparseDesign:
+def parse_libsvm(source, n: Optional[int] = None) -> SparseDesign:
     """Parse `<label> <idx>:<val> ...` lines (1-based, strictly increasing
     indices) into a 0-based SparseDesign. Blank lines and # comments skipped.
-    ``source`` is a string or an iterable of lines, such as an open file."""
+    ``source`` is a string or an iterable of lines, such as an open file. The
+    text carries no width: the design has ``n`` columns when given (a larger
+    index is an error), else as many as the largest index."""
     lines = source.splitlines() if isinstance(source, str) else source
     indptr, indices, data, labels = [0], [], [], []
     n_max = 0
@@ -77,12 +79,14 @@ def parse_libsvm(source) -> SparseDesign:
             indices.append(idx - 1)
             data.append(val)
             prev_idx = idx
+        if n is not None and prev_idx > n:
+            raise ParseError(f"index {prev_idx} exceeds n = {n}", lineno)
         n_max = max(n_max, prev_idx)
         indptr.append(len(indices))
     if not labels:
         raise UsageError("empty dataset")
-    return SparseDesign(m=len(labels), n=max(n_max, 1), indptr=indptr,
-                        indices=indices, data=data, labels=labels)
+    return SparseDesign(m=len(labels), n=max(n_max, 1) if n is None else n,
+                        indptr=indptr, indices=indices, data=data, labels=labels)
 
 
 def write_libsvm(design: SparseDesign, stream) -> None:
@@ -107,6 +111,7 @@ TRACE_SCHEMA = (
     ("L_k", "L_k", float),
     ("l_k", "l_k", float),
     ("rho", "rho_used", float),
+    ("n_value", "n_value", int),
     ("n_grad", "n_gradient", int),
     ("n_prox", "n_prox", int),
 )
@@ -160,9 +165,12 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
 
 
 def _records_from_dicts(dicts) -> List[IterationRecord]:
-    return [IterationRecord(n_value=0, **{f: math.nan if d[c] is None else t(d[c])
-                                          for c, f, t in TRACE_SCHEMA})
-            for d in dicts]
+    try:
+        return [IterationRecord(**{f: math.nan if d[c] is None else t(d[c])
+                                   for c, f, t in TRACE_SCHEMA})
+                for d in dicts]
+    except KeyError as exc:
+        raise UsageError(f"trace record lacks column {exc}") from None
 
 
 def read_trace(path: str) -> Trace:
@@ -258,6 +266,9 @@ def save_config(config: ExperimentConfig, path: str) -> None:
         "format": config.trace_format,
     }
     for name, sc in config.solvers:
+        # the file names a rho sequence by kind only
+        if sc.rho.kind not in RHO_NAMES or make_rho(sc.rho.kind) != sc.rho:
+            raise UsageError(f"solver {name}: only a default rho sequence can be saved")
         sec = f"solver {name}"
         cp[sec] = {
             "engine": sc.engine,
@@ -288,7 +299,7 @@ def build_problem(spec: Dict[str, str], seed: int):
     elif kind == "logistic":
         if "data" in spec:
             with open(spec["data"]) as fh:
-                design = parse_libsvm(fh)
+                design = parse_libsvm(fh, n=int(spec["n"]) if "n" in spec else None)
         else:
             design = logistic_synthetic(int(spec.get("m", 200)),
                                         int(spec.get("n", 20)), seed)

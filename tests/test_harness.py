@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaprox import SolverConfig, UsageError, monitor_check, run
+from adaprox import RhoSequence, SolverConfig, UsageError, monitor_check, run
 from adaprox.adaptive import RHO_NAMES
 from adaprox.cli import cli_main
 from adaprox.harness import (
@@ -27,7 +28,7 @@ from adaprox.harness import (
     write_trace,
 )
 from adaprox.problems import quadratic_problem, rng
-from adaprox.solver import ENGINES
+from adaprox.solver import ENGINES, IterationRecord
 
 
 class TestLibsvm:
@@ -77,19 +78,38 @@ class TestLibsvm:
         n = data.draw(st.integers(1, 6))
         gen = rng(data.draw(st.integers(0, 10**6)))
         dense = np.where(gen.random((m, n)) < 0.5, gen.standard_normal((m, n)), 0.0)
-        # guarantee column n is realized so dimensions survive the round trip
-        dense[0, n - 1] = 1.0
         labels = (gen.random(m) < 0.5).astype(np.float64)
         from adaprox.problems import SparseDesign
 
         d = SparseDesign.from_dense(dense, labels)
         buf = io.StringIO()
         write_libsvm(d, buf)
-        d2 = parse_libsvm(buf.getvalue())
+        # the text has no width, so trailing zero columns need n
+        d2 = parse_libsvm(buf.getvalue(), n=n)
         assert (d2.m, d2.n) == (d.m, d.n)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(d2, name), getattr(d, name))
         assert np.array_equal(d2.labels, d.labels)
+
+
+    def test_width_keeps_trailing_zero_columns(self, tmp_path):
+        from adaprox.problems import SparseDesign
+
+        d = SparseDesign.from_dense([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], [1.0, 0.0])
+        buf = io.StringIO()
+        write_libsvm(d, buf)
+        assert parse_libsvm(buf.getvalue()).n == 2
+        back = parse_libsvm(buf.getvalue(), n=3)
+        assert back.n == 3
+        assert np.array_equal(back.matrix().toarray(), d.matrix().toarray())
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm("# c\n1 1:1\n0 2:1 4:1\n", n=3)
+        assert exc.value.line == 3
+        path = str(tmp_path / "d.libsvm")
+        with open(path, "w") as fh:
+            fh.write(buf.getvalue())
+        problem, x0 = build_problem({"kind": "logistic", "data": path, "n": "3"}, 0)
+        assert x0.shape == (3,) and problem.dim == 3
 
 
 def small_result(max_iters=8, engine="adapgnc", seed=3):
@@ -109,7 +129,7 @@ class TestTracePersistence:
         assert lines[0] == ",".join(TRACE_COLUMNS)
         assert lines[0].split(",") == ["k", "elapsed_s", "f", "F", "gradmap_norm",
                                        "lambda", "L_k", "l_k", "rho",
-                                       "n_grad", "n_prox"]
+                                       "n_value", "n_grad", "n_prox"]
         assert len(lines) == 1 + len(res.trace.all_records()) + 1  # trailing LF
         assert text.endswith("\n") and "\r" not in text
 
@@ -128,6 +148,33 @@ class TestTracePersistence:
                 av, bv = getattr(a, field), getattr(b, field)
                 assert av == bv or (math.isnan(av) and math.isnan(bv))
             assert (a.n_gradient, a.n_prox) == (b.n_gradient, b.n_prox)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_round_trip_keeps_every_field(self, tmp_path, fmt):
+        # gd-ls spends extra f evaluations, so n_value differs from n_gradient
+        res = small_result(engine="gd-ls")
+        assert res.trace.records[-1].n_value > res.trace.records[-1].n_gradient
+        path = str(tmp_path / f"t.{fmt}")
+        write_trace(res.trace, fmt, path)
+        back = read_trace(path)
+        scalars = [f.name for f in dataclasses.fields(IterationRecord)
+                   if f.name not in ("x", "grad")]
+        assert len(back.all_records()) == len(res.trace.all_records())
+        for a, b in zip(res.trace.all_records(), back.all_records()):
+            for name in scalars:
+                av, bv = getattr(a, name), getattr(b, name)
+                assert av == bv or (math.isnan(av) and math.isnan(bv)), (a.k, name)
+
+    def test_json_missing_column_is_usage_error(self, tmp_path):
+        path = str(tmp_path / "t.json")
+        write_trace(small_result().trace, "json", path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        del payload["records"][1]["n_value"]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(UsageError, match="n_value"):
+            read_trace(path)
 
     def test_json_round_trip_keeps_metadata(self, tmp_path):
         res = small_result(seed=11)
@@ -210,6 +257,24 @@ class TestConfig:
         assert cfg2.problem == cfg.problem
         assert cfg2.seeds == cfg.seeds
         assert [n for n, _ in cfg2.solvers] == ["branch", "fixed"]
+
+    def test_default_rho_round_trips(self, tmp_path):
+        cfg = self.make_config(tmp_path)
+        cfg.solvers = [(r, SolverConfig(rho=getattr(RhoSequence, r)())) for r in RHO_NAMES]
+        path = str(tmp_path / "a.ini")
+        save_config(cfg, path)
+        back = load_config(path)
+        assert [sc.rho for _, sc in back.solvers] == [sc.rho for _, sc in cfg.solvers]
+
+    @pytest.mark.parametrize("rho", [RhoSequence.custom([1.0, 0.5]),
+                                     RhoSequence.rho2(rho0=5.0)], ids=["custom", "rho0"])
+    def test_unsavable_rho_rejected(self, tmp_path, rho):
+        cfg = self.make_config(tmp_path)
+        cfg.solvers = [("s", SolverConfig(rho=rho))]
+        path = str(tmp_path / "a.ini")
+        with pytest.raises(UsageError):
+            save_config(cfg, path)
+        assert not os.path.exists(path)
 
     def test_missing_sections_rejected(self, tmp_path):
         path = str(tmp_path / "bad.ini")

@@ -172,7 +172,7 @@ def test_two_iterations_match_reference_bitwise():
         assert [res.trace.init.f_value, recs[0].f_value, recs[1].f_value] == fs, case
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_k_iterations_match_reference_bitwise(data):
     engine = data.draw(st.sampled_from(sorted(REFERENCE_RULES)))
