@@ -91,7 +91,6 @@ class TestLibsvm:
             assert np.array_equal(getattr(d2, name), getattr(d, name))
         assert np.array_equal(d2.labels, d.labels)
 
-
     def test_width_keeps_trailing_zero_columns(self, tmp_path):
         from adaprox.problems import SparseDesign
 
