@@ -5,12 +5,11 @@ descent inequalities the engines are proven to maintain."""
 from .adaptive import (
     CurvaturePair,
     RhoSequence,
-    StepState,
     adapgnc_step,
     adgd_step,
     armijo_search,
     bb_step,
-    displacement,
+    degenerate,
     estimate_curvature,
     relaxed_step,
     rho_total,
@@ -18,7 +17,6 @@ from .adaptive import (
 )
 from .core import (
     CompositeProblem,
-    DegenerateStep,
     EvalCounters,
     LineSearchFailed,
     NonconvexDetected,
@@ -48,7 +46,6 @@ from .solver import (
     SolverConfig,
     Trace,
     ergodic_average,
-    init_first_step,
     run,
 )
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DegenerateStep, LineSearchFailed, NonconvexDetected, UsageError, Vector
+from .core import LineSearchFailed, NonconvexDetected, UsageError, Vector
 
 #: Relative threshold below which ||x_cur - x_prev|| makes the secant
 #: estimators meaningless and the run is declared stationary.
@@ -41,48 +41,26 @@ class CurvaturePair:
     l_k: float
 
 
-@dataclass
-class StepState:
-    """Rolling two-iterate window consumed by the step engines. ``dx`` and
-    ``nd`` are ``displacement(x_prev, x_cur)``, or None for an engine that
-    takes no secant."""
-
-    k: int
-    x_cur: Vector
-    dx: Optional[Vector]
-    nd: Optional[float]
-    grad_prev: Vector
-    grad_cur: Vector
-    f_prev: float
-    f_cur: float
-    lambda_prev: float
-    lambda_prevprev: float
+def degenerate(nd: float, x_cur: Vector) -> bool:
+    """True when nd = ||x_cur - x_prev|| is below the stationarity threshold."""
+    return nd <= DEGENERACY_REL * (1.0 + float(np.linalg.norm(x_cur)))
 
 
-def displacement(x_prev: Vector, x_cur: Vector):
-    """(dx, ||dx||) with dx = x_cur - x_prev. Raises DegenerateStep when ||dx||
-    is below the stationarity threshold."""
-    dx = x_cur - x_prev
-    nd = float(np.linalg.norm(dx))
-    if nd <= DEGENERACY_REL * (1.0 + float(np.linalg.norm(x_cur))):
-        raise DegenerateStep(f"||x_cur - x_prev|| = {nd}")
-    return dx, nd
+def estimate_curvature(dx: Vector, nd: float, dg: Vector, grad_cur: Vector,
+                       f_prev: float, f_cur: float, lambda_prev: float) -> CurvaturePair:
+    """Secant curvature estimates from dx = x_cur - x_prev, nd = ||dx|| and
+    dg = grad_cur - grad_prev.
 
-
-def estimate_curvature(state: StepState) -> CurvaturePair:
-    """Secant curvature estimates from the state's displacement dx.
-
-    L_k = ||dg|| / ||dx||;  l_k = 2 (f_cur - f_prev + <grad_cur, -dx>) / ||dx||^2.
+    L_k = ||dg|| / nd;  l_k = 2 (f_cur - f_prev + <grad_cur, -dx>) / nd^2.
     """
-    nd = state.nd
-    L_k = float(np.linalg.norm(state.grad_cur - state.grad_prev)) / nd
-    inner = float(np.dot(state.grad_cur, -state.dx))
-    num = state.f_cur - state.f_prev + inner
-    cancel_scale = abs(state.f_cur) + abs(state.f_prev) + abs(inner)
+    L_k = float(np.linalg.norm(dg)) / nd
+    inner = float(np.dot(grad_cur, -dx))
+    num = f_cur - f_prev + inner
+    cancel_scale = abs(f_cur) + abs(f_prev) + abs(inner)
     if abs(num) < L_NUMERATOR_SNAP * cancel_scale:
         num = 0.0
     l_k = 2.0 * num / nd**2
-    if abs(l_k) < L_LOWER_SNAP * max(1.0, L_k**2 * state.lambda_prev):
+    if abs(l_k) < L_LOWER_SNAP * max(1.0, L_k**2 * lambda_prev):
         l_k = 0.0
     return CurvaturePair(L_k=L_k, l_k=l_k)
 
@@ -116,9 +94,9 @@ def relaxed_step(lambda_prev: float, rho_used: float, curv: CurvaturePair) -> fl
 
 
 def bb_step(lambda_prev: float, rho_used: float, dx: Vector, dg: Vector) -> float:
-    """Short Barzilai-Borwein step under the growth cap, for a nonzero dx as
-    ``displacement`` gives. Convex-setting only: a nonpositive secant product
-    is reported, not papered over."""
+    """Short Barzilai-Borwein step under the growth cap, for a nondegenerate
+    dx. Convex-setting only: a nonpositive secant product is reported, not
+    papered over."""
     _check_step_inputs(lambda_prev, rho_used)
     cap = math.sqrt(1.0 + rho_used) * lambda_prev
     dg_sq = float(np.dot(dg, dg))

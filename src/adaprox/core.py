@@ -22,10 +22,6 @@ class NumericalDomainError(ArithmeticError):
     """A numeric oracle produced or received a non-finite value."""
 
 
-class DegenerateStep(RuntimeError):
-    """Consecutive iterates too close for curvature estimation."""
-
-
 class NonconvexDetected(RuntimeError):
     """A convex-only step engine observed nonconvex secant data."""
 

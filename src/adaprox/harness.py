@@ -164,37 +164,34 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
         raise UsageError(f"unknown trace format {fmt!r}")
 
 
-def _records_from_dicts(dicts) -> List[IterationRecord]:
-    try:
-        return [IterationRecord(**{f: math.nan if d[c] is None else t(d[c])
-                                   for c, f, t in TRACE_SCHEMA})
-                for d in dicts]
-    except KeyError as exc:
-        raise UsageError(f"trace record lacks column {exc}") from None
-
-
 def read_trace(path: str) -> Trace:
     """Load a persisted trace. CSV carries no metadata, so a CSV trace reads
-    back with no engine, no seed and lambda0 taken from its k=0 record."""
-    if path.endswith(".json"):
-        with open(path) as fh:
-            payload = json.load(fh)
-        meta = payload["metadata"]
-        recs = _records_from_dicts(payload["records"])
-    else:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        header = lines[0].split(",")
-        if tuple(header) != TRACE_COLUMNS:
-            raise UsageError(f"unexpected CSV header in {path}")
-        recs = _records_from_dicts(dict(zip(TRACE_COLUMNS, ln.split(","))) for ln in lines[1:])
-        meta = {}
-    if not recs or recs[0].k != 0:
-        raise UsageError(f"trace {path} lacks the k=0 record")
-    return Trace(problem_name=meta.get("problem", ""), engine=meta.get("solver"),
-                 lambda0=float(meta.get("lambda0", recs[0].lam)), init=recs[0],
-                 records=recs[1:], termination=meta.get("termination", ""),
-                 seed=meta.get("seed"))
+    back with no engine, no seed and lambda0 taken from its k=0 record. A file
+    that is not such a trace is a UsageError naming it."""
+    try:
+        if path.endswith(".json"):
+            with open(path) as fh:
+                payload = json.load(fh)
+            meta, rows = payload["metadata"], payload["records"]
+        else:
+            with open(path) as fh:
+                lines = [ln.strip() for ln in fh if ln.strip()]
+            if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
+                raise ValueError("unexpected CSV header")
+            meta, rows = {}, (dict(zip(TRACE_COLUMNS, ln.split(","))) for ln in lines[1:])
+        recs = [IterationRecord(**{f: math.nan if d[c] is None else t(d[c])
+                                   for c, f, t in TRACE_SCHEMA})
+                for d in rows]
+        if not recs or recs[0].k != 0:
+            raise ValueError("no k=0 record")
+        return Trace(problem_name=meta.get("problem", ""), engine=meta.get("solver"),
+                     lambda0=float(meta.get("lambda0", recs[0].lam)), init=recs[0],
+                     records=recs[1:], termination=meta.get("termination", ""),
+                     seed=meta.get("seed"))
+    except KeyError as exc:
+        raise UsageError(f"trace {path} lacks {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed trace {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -224,37 +221,42 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """Read an experiment config; a file that does not parse as one is a
+    UsageError naming it."""
     cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
-    if "problem" not in cp or "run" not in cp:
-        raise UsageError("config needs [problem] and [run] sections")
-    problem = dict(cp["problem"])
-    runsec = cp["run"]
-    seeds = [int(s) for s in runsec.get("seeds", "0").split()]
-    out_dir = runsec.get("out", "out")
-    fmt = runsec.get("format", "csv")
-    solvers = []
-    for section in cp.sections():
-        if not section.startswith("solver "):
-            continue
-        name = section[len("solver "):]
-        s = cp[section]
-        unknown = set(s) - {"engine", "rho", "lambda0", "max_iters", "max_seconds", "tol"}
-        if unknown:
-            raise UsageError(f"[{section}] has unknown keys {sorted(unknown)}")
-        sc = SolverConfig(
-            engine=s.get("engine", "adapgnc"),
-            rho=make_rho(s.get("rho", "rho2")),
-            lambda0=s.getfloat("lambda0", 1.0),
-            max_iters=s.getint("max_iters", 1000),
-            max_seconds=s.getfloat("max_seconds", math.inf),
-            gradmap_tol=s.getfloat("tol", 0.0),
-        )
-        sc.validate()
-        solvers.append((name, sc))
-    return ExperimentConfig(problem=problem, solvers=solvers, seeds=seeds,
-                            out_dir=out_dir, trace_format=fmt)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+        if "problem" not in cp or "run" not in cp:
+            raise UsageError("config needs [problem] and [run] sections")
+        problem = dict(cp["problem"])
+        runsec = cp["run"]
+        seeds = [int(s) for s in runsec.get("seeds", "0").split()]
+        out_dir = runsec.get("out", "out")
+        fmt = runsec.get("format", "csv")
+        solvers = []
+        for section in cp.sections():
+            if not section.startswith("solver "):
+                continue
+            name = section[len("solver "):]
+            s = cp[section]
+            unknown = set(s) - {"engine", "rho", "lambda0", "max_iters", "max_seconds", "tol"}
+            if unknown:
+                raise UsageError(f"[{section}] has unknown keys {sorted(unknown)}")
+            sc = SolverConfig(
+                engine=s.get("engine", "adapgnc"),
+                rho=make_rho(s.get("rho", "rho2")),
+                lambda0=s.getfloat("lambda0", 1.0),
+                max_iters=s.getint("max_iters", 1000),
+                max_seconds=s.getfloat("max_seconds", math.inf),
+                gradmap_tol=s.getfloat("tol", 0.0),
+            )
+            sc.validate()
+            solvers.append((name, sc))
+        return ExperimentConfig(problem=problem, solvers=solvers, seeds=seeds,
+                                out_dir=out_dir, trace_format=fmt)
+    except (configparser.Error, ValueError) as exc:
+        raise UsageError(f"config {path}: {exc}") from None
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
@@ -266,6 +268,8 @@ def save_config(config: ExperimentConfig, path: str) -> None:
         "format": config.trace_format,
     }
     for name, sc in config.solvers:
+        if sc.monitor or sc.keep_iterates:
+            raise UsageError(f"solver {name}: monitor and keep_iterates cannot be saved")
         # the file names a rho sequence by kind only
         if sc.rho.kind not in RHO_NAMES or make_rho(sc.rho.kind) != sc.rho:
             raise UsageError(f"solver {name}: only a default rho sequence can be saved")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -12,19 +13,17 @@ import numpy as np
 from .adaptive import (
     CurvaturePair,
     RhoSequence,
-    StepState,
     adapgnc_step,
     adgd_step,
     armijo_search,
     bb_step,
-    displacement,
+    degenerate,
     estimate_curvature,
     relaxed_step,
     rho_value,
 )
 from .core import (
     CompositeProblem,
-    DegenerateStep,
     NumericalDomainError,
     UsageError,
     Vector,
@@ -62,7 +61,7 @@ class SolverConfig:
             raise UsageError("max_iters must be nonnegative")
         if not self.max_seconds > 0.0:
             raise UsageError("max_seconds must be positive")
-        if self.gradmap_tol < 0.0:
+        if not self.gradmap_tol >= 0.0:
             raise UsageError("gradmap_tol must be nonnegative")
 
 
@@ -123,136 +122,102 @@ def _prox_step_record(problem: CompositeProblem, k: int, x: Vector, f: float,
                       grad: Vector, lam: float, curv: CurvaturePair,
                       rho_used: float, elapsed: float, keep: bool):
     """x_next = prox_{lam h}(x - lam grad) and the record of iterate k, with
-    G_k = (x - x_next)/lam. Returns (x_next, record)."""
+    G_k = (x - x_next)/lam. Returns (x_next, dx, ||dx||, record) where
+    dx = x_next - x."""
     x_next = problem.prox_step(x - lam * grad, lam)
+    dx = x_next - x
+    nd = float(np.linalg.norm(dx))
     c = problem.counters
     rec = IterationRecord(
         k=k, f_value=f, F_value=f + problem.h_value(x),
-        gradmap_norm=float(np.linalg.norm(x_next - x)) / lam, lam=lam,
+        gradmap_norm=nd / lam, lam=lam,
         L_k=curv.L_k, l_k=curv.l_k, rho_used=rho_used, elapsed_seconds=elapsed,
         n_value=c.n_value, n_gradient=c.n_gradient, n_prox=c.n_prox,
         x=x.copy() if keep else None, grad=grad.copy() if keep else None,
     )
-    return x_next, rec
-
-
-def init_first_step(problem: CompositeProblem, x0: Vector, lambda0: float,
-                    keep: bool = False):
-    """x1 = prox_{lambda0 h}(x0 - lambda0 grad f(x0)); records G_0 = (x0 - x1)/lambda0."""
-    if not 0.0 < lambda0 < math.inf:
-        raise UsageError("lambda0 must be positive and finite")
-    x0 = as_point(x0)
-    problem.check_point(x0)
-    f0, g0 = problem.f_value_gradient(x0)
-    if not (np.isfinite(f0) and np.all(np.isfinite(g0))):
-        raise NumericalDomainError("non-finite f or grad f at x0")
-    x1, rec = _prox_step_record(problem, 0, x0, f0, g0, lambda0, _NO_CURVATURE,
-                                math.nan, 0.0, keep)
-    return x1, (f0, g0), rec
-
-
-def iterate(problem: CompositeProblem, state: StepState, config: SolverConfig,
-            elapsed: float, keep: bool = False):
-    """One engine step from the current window: curvature estimate, step-size
-    rule, prox-gradient update. Returns (x_next, lambda_k, record)."""
-    x_cur, grad_cur, f_cur = state.x_cur, state.grad_cur, state.f_cur
-    k = state.k
-
-    curv = _NO_CURVATURE
-    if config.engine in _CURVATURE_ENGINES:
-        curv = estimate_curvature(state)
-
-    rho_used = math.nan
-    if config.engine in _RHO_ENGINES:
-        rho_used = rho_value(
-            config.rho, k - 1,
-            lambda_ratio=state.lambda_prev / state.lambda_prevprev,
-        )
-
-    if config.engine == "adapgnc":
-        lam = adapgnc_step(state.lambda_prev, rho_used, curv)
-    elif config.engine == "adapgnc-relaxed":
-        lam = relaxed_step(state.lambda_prev, rho_used, curv)
-    elif config.engine == "adapgnc-bb":
-        lam = bb_step(state.lambda_prev, rho_used, state.dx, grad_cur - state.grad_prev)
-    elif config.engine == "adgd":
-        lam = adgd_step(state.lambda_prev, state.lambda_prevprev, curv)
-    elif config.engine == "fixed":
-        lam = config.lambda0
-    else:  # gd-ls
-        if float(np.dot(grad_cur, grad_cur)) == 0.0:
-            lam = state.lambda_prev  # stationary for smooth f; loop stops on tol
-        else:
-            lam, _ = armijo_search(problem.f_value, x_cur, grad_cur, f_x=f_cur)
-
-    x_next, rec = _prox_step_record(problem, k, x_cur, f_cur, grad_cur, lam, curv,
-                                    rho_used, elapsed, keep)
-    return x_next, lam, rec
+    return x_next, dx, nd, rec
 
 
 def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         seed: Optional[int] = None) -> RunResult:
-    """Drive the loop to the first of: gradient-mapping tolerance, iteration
+    """Take the lambda0 prox step from x0 (record k = 0), then one engine step
+    per iteration until the first of: gradient-mapping tolerance, iteration
     cap, wall-clock budget, stagnation (a fixed point, reported as success),
-    or a non-finite f_k or ||G_k|| (a failure; that record is not kept)."""
+    or a non-finite f_k or ||G_k|| (a failure; that record is not kept, and
+    x_final is its iterate)."""
     config.validate()
+    engine = config.engine
     keep = config.keep_iterates or config.monitor
     problem.counters.reset()
     t0 = time.perf_counter()
 
-    x1, (f0, g0), rec0 = init_first_step(problem, x0, config.lambda0, keep=keep)
-    trace = Trace(problem_name=problem.name, engine=config.engine,
-                  lambda0=config.lambda0, init=rec0, seed=seed)
-
-    best_F, best_x = rec0.F_value, as_point(x0).copy()
+    x = as_point(x0)
+    problem.check_point(x)
+    f, grad = problem.f_value_gradient(x)
+    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+        raise NumericalDomainError("non-finite f or grad f at x0")
+    # lam, lam_prev: lambda_{k-1}, lambda_{k-2}; lambda_{-1} = lambda_0 convention
+    lam = lam_prev = config.lambda0
+    x_next, dx, nd, rec = _prox_step_record(problem, 0, x, f, grad, lam, _NO_CURVATURE,
+                                            math.nan, 0.0, keep)
+    trace = Trace(problem_name=problem.name, engine=engine, lambda0=lam, init=rec,
+                  seed=seed)
+    best_F, best_x = rec.F_value, x.copy()
     termination = "max_iters"
 
-    x_prev = as_point(x0)
-    x_cur = x1
-    f_prev, grad_prev = f0, g0
-    lambda_prev = config.lambda0
-    lambda_prevprev = config.lambda0  # lambda_{-1} = lambda_0 convention
+    for k in itertools.count(1):
+        x = x_next  # x_k, the prox step of the kept record k - 1
+        if rec.gradmap_norm <= config.gradmap_tol:
+            termination = "tol"
+            break
+        if k > config.max_iters:
+            break
+        elapsed = time.perf_counter() - t0
+        if elapsed >= config.max_seconds:
+            termination = "max_seconds"
+            break
+        # the one stagnation test: it runs before the gradient evaluation,
+        # keeping n_gradient = iterations + 1 exact
+        if engine in _CURVATURE_ENGINES and degenerate(nd, x):
+            termination = "stagnation"
+            break
+        f_prev, grad_prev = f, grad
+        f, grad = problem.f_value_gradient(x)
 
-    if rec0.gradmap_norm <= config.gradmap_tol:
-        termination = "tol"
-    else:
-        for k in range(1, config.max_iters + 1):
-            elapsed = time.perf_counter() - t0
-            if elapsed >= config.max_seconds:
-                termination = "max_seconds"
-                break
-            dx = nd = None
-            if config.engine in _CURVATURE_ENGINES:
-                # the one stagnation test: it runs before the gradient
-                # evaluation, keeping n_gradient = iterations + 1 exact
-                try:
-                    dx, nd = displacement(x_prev, x_cur)
-                except DegenerateStep:
-                    termination = "stagnation"
-                    break
-            f_cur, grad_cur = problem.f_value_gradient(x_cur)
-            state = StepState(k=k, x_cur=x_cur, dx=dx, nd=nd,
-                              grad_prev=grad_prev, grad_cur=grad_cur,
-                              f_prev=f_prev, f_cur=f_cur,
-                              lambda_prev=lambda_prev,
-                              lambda_prevprev=lambda_prevprev)
-            x_next, lam, rec = iterate(problem, state, config, elapsed, keep=keep)
-            if not (math.isfinite(rec.f_value) and math.isfinite(rec.gradmap_norm)):
-                termination = "non_finite"
-                break
-            trace.records.append(rec)
-            if rec.F_value < best_F:
-                best_F, best_x = rec.F_value, x_cur.copy()
-            if rec.gradmap_norm <= config.gradmap_tol:
-                termination = "tol"
-                x_cur = x_next
-                break
-            x_prev, x_cur = x_cur, x_next
-            f_prev, grad_prev = f_cur, grad_cur
-            lambda_prevprev, lambda_prev = lambda_prev, lam
+        curv, rho_used = _NO_CURVATURE, math.nan
+        if engine in _CURVATURE_ENGINES:
+            dg = grad - grad_prev
+            curv = estimate_curvature(dx, nd, dg, grad, f_prev, f, lam)
+        if engine in _RHO_ENGINES:
+            rho_used = rho_value(config.rho, k - 1, lambda_ratio=lam / lam_prev)
+
+        if engine == "adapgnc":
+            step = adapgnc_step(lam, rho_used, curv)
+        elif engine == "adapgnc-relaxed":
+            step = relaxed_step(lam, rho_used, curv)
+        elif engine == "adapgnc-bb":
+            step = bb_step(lam, rho_used, dx, dg)
+        elif engine == "adgd":
+            step = adgd_step(lam, lam_prev, curv)
+        elif engine == "fixed":
+            step = config.lambda0
+        elif float(np.dot(grad, grad)) == 0.0:
+            step = lam  # gd-ls, stationary for smooth f; the loop stops on tol
+        else:
+            step, _ = armijo_search(problem.f_value, x, grad, f_x=f)
+        lam_prev, lam = lam, step
+
+        x_next, dx, nd, rec = _prox_step_record(problem, k, x, f, grad, lam, curv,
+                                                rho_used, elapsed, keep)
+        if not (math.isfinite(rec.f_value) and math.isfinite(rec.gradmap_norm)):
+            termination = "non_finite"
+            break
+        trace.records.append(rec)
+        if rec.F_value < best_F:
+            best_F, best_x = rec.F_value, x.copy()
 
     trace.termination = termination
-    result = RunResult(trace=trace, best=best_x, best_F=best_F, x_final=x_cur)
+    result = RunResult(trace=trace, best=best_x, best_F=best_F, x_final=x)
     if config.monitor:
         from .adaptive import rho_total
         from .monitor import monitor_check

@@ -227,6 +227,22 @@ class TestTracePersistence:
         assert cli_main(["check", path]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("empty.json", ""),
+        ("invalid.json", '{"metadata": '),
+        ("no_metadata.json", '{"records": []}'),
+        ("empty.csv", ""),
+        ("abc.csv", ",".join(TRACE_COLUMNS) + "\n0" + ",abc" * (len(TRACE_COLUMNS) - 1) + "\n"),
+    ], ids=["empty.json", "invalid.json", "no_metadata.json", "empty.csv", "abc.csv"])
+    def test_malformed_trace_is_usage_error(self, tmp_path, capsys, name, text):
+        path = str(tmp_path / name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(UsageError, match=name):
+            read_trace(path)
+        assert cli_main(["check", path]) == 2
+        assert name in capsys.readouterr().err
+
     def test_csv_reader_rejects_foreign_header(self, tmp_path):
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as fh:
@@ -274,6 +290,30 @@ class TestConfig:
         with pytest.raises(UsageError):
             save_config(cfg, path)
         assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("flag", ["monitor", "keep_iterates"])
+    def test_unsavable_run_flags_rejected(self, tmp_path, flag):
+        # the file has no key for either, so it would read back as False
+        cfg = self.make_config(tmp_path)
+        cfg.solvers = [("s", SolverConfig(**{flag: True}))]
+        path = str(tmp_path / "a.ini")
+        with pytest.raises(UsageError, match=flag):
+            save_config(cfg, path)
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("text", [
+        "[problem]\nkind = quadratic\n[run]\nseeds = a b\n",
+        "kind = quadratic\n",
+        "[problem]\nkind = quadratic\n[run]\nseeds = 0\n[solver s]\nlambda0 = x\n",
+    ], ids=["seeds", "no-section-header", "lambda0"])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text):
+        path = str(tmp_path / "bad.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(UsageError, match="bad.ini"):
+            load_config(path)
+        assert cli_main(["bench", "--config", path]) == 2
+        assert "bad.ini" in capsys.readouterr().err
 
     def test_missing_sections_rejected(self, tmp_path):
         path = str(tmp_path / "bad.ini")

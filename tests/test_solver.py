@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from adaprox.adaptive import rho_total
 from adaprox.monitor import _check
 from adaprox.prox import Zero
 from adaprox.problems import lasso_problem, lasso_synthetic, quadratic_problem, rng
-from adaprox.solver import init_first_step
 
 
 def half_sq():
@@ -53,7 +53,15 @@ class TestFixedStep:
         with pytest.raises(UsageError):
             SolverConfig(lambda0=lam0).validate()
         with pytest.raises(UsageError):
-            init_first_step(half_sq(), np.array([1.0]), lam0)
+            run(half_sq(), np.array([1.0]), SolverConfig(lambda0=lam0))
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_gradmap_tol_must_be_nonnegative(self, tol):
+        # with a NaN tolerance the tol stop could never fire
+        with pytest.raises(UsageError):
+            SolverConfig(gradmap_tol=tol).validate()
+        with pytest.raises(UsageError):
+            run(half_sq(), np.array([1.0]), SolverConfig(gradmap_tol=tol))
 
 
 def branch_rule(L, l, lam_prev, lam_prevprev, rho_used, dx, dg):
@@ -221,6 +229,11 @@ def test_non_finite_oracle_ends_run(nan_problem, engine, which):
     for r in res.trace.all_records():
         assert math.isfinite(r.f_value) and math.isfinite(r.gradmap_norm)
     assert math.isfinite(res.best_F)
+    # x_final is x_4, the iterate whose value was not finite: the iterate a
+    # run stopped by max_iters after the same three steps ends on
+    ref = run(nan_problem(which), np.ones(3), replace(cfg, max_iters=3))
+    assert ref.termination == "max_iters"
+    assert np.array_equal(res.x_final, ref.x_final)
 
 
 def test_determinism_bit_identical_traces():
@@ -255,6 +268,8 @@ class TestTermination:
         res = run(p, np.array([0.0]), SolverConfig(max_iters=10))
         assert res.trace.termination == "stagnation"
         assert res.trace.records == []  # stalled before the first full step
+        # x_final is the lambda0 = 1 prox step x_1 = x_0 - (x_0 - a)
+        assert res.x_final[0] == a
 
     def test_max_seconds(self):
         import time
@@ -267,9 +282,13 @@ class TestTermination:
             smooth=SmoothOracle(value=slow_value, gradient=lambda x: x),
             nonsmooth=make_prox_term(Zero()))
         cfg = SolverConfig(engine="fixed", lambda0=1e-6, max_iters=10**8,
-                           max_seconds=0.05)
+                           max_seconds=0.05, keep_iterates=True)
         res = run(p, np.array([1.0]), cfg)
         assert res.trace.termination == "max_seconds"
+        # x_final is the prox step taken from the last record
+        last = res.trace.all_records()[-1]
+        assert np.array_equal(res.x_final,
+                              p.nonsmooth.prox(last.x - last.lam * last.grad, last.lam))
 
     def test_max_iters_zero_boundary(self):
         p = half_sq()
