@@ -8,6 +8,7 @@ import json
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -44,49 +45,162 @@ class ParseError(UsageError):
 
 _LABEL_MAP = {"1": 1.0, "+1": 1.0, "0": 0.0, "-1": 0.0}
 
+#: Characters of line bodies read per block: bounds the parse's working memory.
+_BLOCK_CHARS = 1 << 18
 
-def parse_libsvm(source, n: Optional[int] = None) -> SparseDesign:
-    """Parse `<label> <idx>:<val> ...` lines (1-based, strictly increasing
-    indices) into a 0-based SparseDesign. Blank lines and # comments skipped.
-    ``source`` is a string or an iterable of lines, such as an open file. The
-    text carries no width: the design has ``n`` columns when given (a larger
-    index is an error), else as many as the largest index."""
-    lines = source.splitlines() if isinstance(source, str) else source
-    indptr, indices, data, labels = [0], [], [], []
-    n_max = 0
+#: Indices from this one up are not exact in the float64 the numbers are read as.
+_INDEX_LIMIT = 2 ** 53
+
+
+def _data_blocks(lines):
+    """Yield the data lines in blocks of about _BLOCK_CHARS characters, each as
+    (line numbers, labels, bodies). A body is the line after its label, so it
+    is empty or starts with whitespace. At a line with an unknown label the
+    lines before it are yielded first, so that an earlier error wins."""
+    linenos, labels, bodies, size = [], [], [], 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        if tokens[0] not in _LABEL_MAP:
-            raise ParseError(f"unknown label {tokens[0]!r}", lineno)
-        labels.append(_LABEL_MAP[tokens[0]])
-        prev_idx = 0
-        for tok in tokens[1:]:
-            idx_s, _, val_s = tok.partition(":")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(f"malformed token {tok!r}", lineno) from None
-            if idx < 1:
-                raise ParseError(f"index {idx} must be >= 1", lineno)
-            if idx <= prev_idx:
-                raise ParseError("indices must be strictly increasing", lineno)
-            if not math.isfinite(val):
-                raise ParseError(f"non-finite value in {tok!r}", lineno)
-            indices.append(idx - 1)
-            data.append(val)
-            prev_idx = idx
-        if n is not None and prev_idx > n:
-            raise ParseError(f"index {prev_idx} exceeds n = {n}", lineno)
-        n_max = max(n_max, prev_idx)
-        indptr.append(len(indices))
+        label = line.split(None, 1)[0]
+        if label not in _LABEL_MAP:
+            yield linenos, labels, bodies
+            raise ParseError(f"unknown label {label!r}", lineno)
+        body = line[len(label):]
+        linenos.append(lineno)
+        labels.append(_LABEL_MAP[label])
+        bodies.append(body)
+        size += len(body)
+        if size >= _BLOCK_CHARS:
+            yield linenos, labels, bodies
+            linenos, labels, bodies, size = [], [], [], 0
+    yield linenos, labels, bodies
+
+
+def _colon_positions(b: np.ndarray) -> Optional[np.ndarray]:
+    """Where the ':' of each token sits in the bytes ``b`` of joined bodies
+    ending in whitespace, or None unless every token is `[0-9+-]+:`, then a
+    value free of ':', and tokens are separated by spaces and tabs alone.
+
+    The shape is checked on the sequence of the bytes that cannot be in an
+    index (all but [0-9+-]); it starts and ends with whitespace. In it,
+    whitespace is followed by adjacent whitespace or by a ':' with index
+    characters between; a ':' comes right after whitespace, so it ends the
+    token's index and no token holds two; and a ':' is not followed by
+    adjacent whitespace, so its value is not empty."""
+    if np.count_nonzero(b < 32) != np.count_nonzero(b == 9):  # a control byte but tab
+        return None
+    special = b - 48 > 9
+    special &= b != 43
+    special &= b != 45
+    p = np.flatnonzero(special)
+    q = b[p]
+    # apart: an index character follows, so the next special byte is not adjacent
+    ws, nxt_ws, colon, apart = q[:-1] <= 32, q[1:] <= 32, q[1:] == 58, ~special[1:][p[:-1]]
+    if (np.any(ws & ~nxt_ws & ~colon) or np.any(ws & nxt_ws & apart)
+            or np.any(colon & ~(ws & apart)) or np.any((q[:-1] == 58) & nxt_ws & ~apart)):
+        return None
+    return p[1:][colon]
+
+
+def _read_pairs(bodies):
+    """The `<idx>:<val>` tokens of these bodies as (tokens per body, index
+    array, value array), or None if one is malformed."""
+    try:
+        raw = "".join([*bodies, " "]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    colons = _colon_positions(np.frombuffer(raw, np.uint8))
+    if colons is None:
+        return None
+    counts = np.diff(np.searchsorted(colons, np.cumsum(np.fromiter(map(len, bodies), np.int64))),
+                     prepend=0)
+    if not colons.size:
+        # fromstring reads a blank string as [-1.0]
+        return counts, np.empty(0), np.empty(0)
+    try:
+        # a sign inside an index or a bad value stops the read: with an error,
+        # or in NumPy 1.x with a DeprecationWarning and the numbers before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            nums = np.fromstring(raw.replace(b":", b" "), sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if nums.size != 2 * colons.size:
+        return None
+    return counts, nums[0::2], nums[1::2]
+
+
+def _malformed_message(body: str) -> str:
+    """The ParseError message for a body that failed to read: its first token
+    that fails alone. Runs only on that error path, once per parse."""
+    tok = next((t for t in body.split() if _read_pairs([" " + t]) is None), None)
+    return f"malformed token {tok!r}" if tok else "tokens must be separated by spaces or tabs"
+
+
+def _read_block(linenos, bodies, n):
+    """One block's (tokens per line, 0-based indices, values); its first bad
+    line is raised as a ParseError."""
+    pairs, bad = _read_pairs(bodies), None
+    if pairs is None:
+        # bisect for the first malformed line; the lines before it are checked first
+        lo, hi, pairs = 0, len(bodies), _read_pairs([])
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            p = _read_pairs(bodies[:mid])
+            if p is None:
+                hi = mid
+            else:
+                lo, pairs = mid, p
+        bad = lo
+    counts, idx, val = pairs
+    ends = np.cumsum(counts)
+    within = np.ones(idx.size, dtype=bool)  # not the first token of its line
+    within[(ends - counts)[counts > 0]] = False
+    checks = [
+        (idx < 1, "index must be >= 1"),
+        (np.r_[False, (np.diff(idx) <= 0) & within[1:]], "indices must be strictly increasing"),
+        (~np.isfinite(val), "non-finite value"),
+        (idx >= _INDEX_LIMIT, "index must be below 2**53"),
+    ]
+    if n is not None:
+        checks.append((idx > n, f"index exceeds n = {n}"))
+    failed = [(int(np.argmax(mask)), what) for mask, what in checks if mask.any()]
+    if failed:
+        t, what = min(failed, key=lambda f: f[0])
+        raise ParseError(f"{what} (entry {idx[t]:.0f}:{val[t]!r})",
+                         linenos[int(np.searchsorted(ends, t, side="right"))])
+    if bad is not None:
+        raise ParseError(_malformed_message(bodies[bad]), linenos[bad])
+    idx -= 1
+    # SciPy keeps int32 indices where they fit; reading them so spares a copy
+    fits = not idx.size or idx.max() <= np.iinfo(np.int32).max
+    return counts, idx.astype(np.int32 if fits else np.int64), val
+
+
+def parse_libsvm(source, n: Optional[int] = None) -> SparseDesign:
+    """Parse `<label> <idx>:<val> ...` lines (1-based, strictly increasing
+    indices) into a 0-based SparseDesign. Blank lines and # comments skipped.
+    ``source`` is a string or an iterable of lines, such as an open file; it is
+    read in blocks of lines, each checked and converted with array operations.
+    The text carries no width: the design has ``n`` columns when given (a
+    larger index is an error), else as many as the largest index."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    labels, counts, indices, data = [], [np.zeros(1, np.int64)], [], []
+    for linenos, block_labels, bodies in _data_blocks(lines):
+        c, idx, val = _read_block(linenos, bodies, n)
+        labels += block_labels
+        counts.append(c)
+        indices.append(idx)
+        data.append(val)
     if not labels:
         raise UsageError("empty dataset")
+    indices = np.concatenate(indices)
+    data = np.concatenate(data)
+    n_max = int(indices.max()) + 1 if indices.size else 0
     return SparseDesign(m=len(labels), n=max(n_max, 1) if n is None else n,
-                        indptr=indptr, indices=indices, data=data, labels=labels)
+                        indptr=np.cumsum(np.concatenate(counts)), indices=indices,
+                        data=data, labels=labels)
 
 
 def write_libsvm(design: SparseDesign, stream) -> None:
@@ -164,6 +278,24 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
         raise UsageError(f"unknown trace format {fmt!r}")
 
 
+def _json_record(d) -> IterationRecord:
+    """A JSON trace record: each value a JSON number of its column's type; null,
+    read as NaN, only in a float column."""
+    values = {}
+    for c, f, t in TRACE_SCHEMA:
+        v = d[c]
+        if type(v) is not t:
+            if t is float and v is None:
+                v = math.nan
+            elif t is float and type(v) is int:
+                v = float(v)
+            else:
+                raise ValueError(f"column {c!r} holds {v!r}, not a JSON "
+                                 + ("integer" if t is int else "number"))
+        values[f] = v
+    return IterationRecord(**values)
+
+
 def read_trace(path: str) -> Trace:
     """Load a persisted trace. CSV carries no metadata, so a CSV trace reads
     back with no engine, no seed and lambda0 taken from its k=0 record. A file
@@ -172,20 +304,22 @@ def read_trace(path: str) -> Trace:
         if path.endswith(".json"):
             with open(path) as fh:
                 payload = json.load(fh)
-            meta, rows = payload["metadata"], payload["records"]
+            meta = payload["metadata"]
+            recs = [_json_record(d) for d in payload["records"]]
         else:
             with open(path) as fh:
                 lines = [ln.strip() for ln in fh if ln.strip()]
             if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
                 raise ValueError("unexpected CSV header")
             meta, rows = {}, (dict(zip(TRACE_COLUMNS, ln.split(","))) for ln in lines[1:])
-        recs = [IterationRecord(**{f: math.nan if d[c] is None else t(d[c])
-                                   for c, f, t in TRACE_SCHEMA})
-                for d in rows]
+            recs = [IterationRecord(**{f: t(d[c]) for c, f, t in TRACE_SCHEMA}) for d in rows]
         if not recs or recs[0].k != 0:
             raise ValueError("no k=0 record")
+        lambda0 = meta.get("lambda0", recs[0].lam)
+        if type(lambda0) not in (int, float):
+            raise ValueError(f"lambda0 {lambda0!r} is not a number")
         return Trace(problem_name=meta.get("problem", ""), engine=meta.get("solver"),
-                     lambda0=float(meta.get("lambda0", recs[0].lam)), init=recs[0],
+                     lambda0=float(lambda0), init=recs[0],
                      records=recs[1:], termination=meta.get("termination", ""),
                      seed=meta.get("seed"))
     except KeyError as exc:
@@ -354,6 +488,7 @@ class ComparisonRow:
     wall_seconds: float
     termination: str
     error: Optional[str] = None
+    error_type: Optional[str] = None
 
 
 def run_experiment(config: ExperimentConfig):
@@ -392,7 +527,7 @@ def run_experiment(config: ExperimentConfig):
                     solver=name, seed=seed, iterations=0, grad_res=math.nan,
                     best_F=math.nan, opt_gap=math.nan,
                     wall_seconds=time.perf_counter() - t_start,
-                    termination="error", error=str(exc)))
+                    termination="error", error=str(exc), error_type=type(exc).__name__))
                 results.append(None)
 
     finite = [r.best_F for r in rows if math.isfinite(r.best_F)]
@@ -411,7 +546,7 @@ def write_summary(rows: List[ComparisonRow], fhat: float, path: str) -> None:
             {"solver": r.solver, "seed": r.seed, "iterations": r.iterations,
              "grad_res": _json_value(r.grad_res), "opt_gap": _json_value(r.opt_gap),
              "wall_seconds": r.wall_seconds, "termination": r.termination,
-             "error": r.error}
+             "error": r.error, "error_type": r.error_type}
             for r in rows
         ],
     }
@@ -424,7 +559,8 @@ def summary_table(rows: List[ComparisonRow]) -> str:
     header = f"{'solver':<16}{'seed':>6}{'iters':>8}{'GradRes':>12}{'OptGap':>12}{'time_s':>9}  term"
     lines = [header]
     for r in rows:
+        term = r.termination if r.error_type is None else f"{r.termination} ({r.error_type})"
         lines.append(
             f"{r.solver:<16}{r.seed:>6}{r.iterations:>8}{r.grad_res:>12.3e}"
-            f"{r.opt_gap:>12.3e}{r.wall_seconds:>9.2f}  {r.termination}")
+            f"{r.opt_gap:>12.3e}{r.wall_seconds:>9.2f}  {term}")
     return "\n".join(lines)

@@ -243,6 +243,39 @@ class TestTracePersistence:
         assert cli_main(["check", path]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("records", "k", 1.7),
+        ("records", "f", True),
+        ("records", "lambda", "0.5"),
+        ("records", "n_grad", None),
+        ("metadata", "lambda0", "1.0"),
+    ], ids=["float_k", "bool_f", "string_lambda", "null_count", "string_lambda0"])
+    def test_json_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, where, key, value):
+        """Each JSON value must be a number of its column's type, never coerced."""
+        path = str(tmp_path / "t.json")
+        write_trace(small_result().trace, "json", path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        target = payload["records"][1] if where == "records" else payload["metadata"]
+        target[key] = value
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(UsageError, match=f"t.json.*{key}"):
+            read_trace(path)
+        assert cli_main(["check", path]) == 2
+        assert "t.json" in capsys.readouterr().err
+
+    def test_json_integer_in_float_column_reads_as_float(self, tmp_path):
+        path = str(tmp_path / "t.json")
+        write_trace(small_result().trace, "json", path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["records"][1]["f"] = 2
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        back = read_trace(path)
+        assert type(back.records[0].f_value) is float and back.records[0].f_value == 2.0
+
     def test_csv_reader_rejects_foreign_header(self, tmp_path):
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as fh:
@@ -374,6 +407,22 @@ class TestConfig:
         rows, fhat = run_experiment(cfg)
         assert all(r.termination == "error" and r.error for r in rows)
         assert math.isnan(fhat)
+
+    def test_failed_cell_keeps_exception_type(self, tmp_path):
+        cfg = self.make_config(tmp_path)
+        rows, _ = run_experiment(cfg)
+        assert all(r.error_type is None for r in rows)
+        cfg.problem = {"kind": "mc", "p": "2", "q": "2", "r": "1", "nobs": "99"}
+        failed, _ = run_experiment(cfg)
+        assert all(r.error_type == "UsageError" for r in failed)
+        path = str(tmp_path / "summary.json")
+        write_summary(rows[:1] + failed[:1], math.nan, path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert [r["error_type"] for r in payload["rows"]] == [None, "UsageError"]
+        table = summary_table(rows[:1] + failed[:1]).splitlines()
+        assert table[1].endswith(f"  {rows[0].termination}")
+        assert table[2].endswith("  error (UsageError)")
 
     def test_summary_with_failed_cell_is_strict_json(self, tmp_path):
         cfg = self.make_config(tmp_path)
