@@ -16,6 +16,7 @@ import numpy as np
 from .adaptive import RHO_NAMES, rho_total
 from .core import UsageError
 from .harness import (
+    PROBLEM_KEYS,
     build_problem,
     load_config,
     make_rho,
@@ -48,8 +49,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", default="quadratic",
-                   choices=["quadratic", "logistic", "lasso", "nmf", "mc"])
+    p.add_argument("--problem", default="quadratic", choices=PROBLEM_KEYS)
     p.add_argument("--data", help="LIBSVM file for the logistic problem")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
@@ -77,13 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(ps)
     _add_solver_flags(ps)
     ps.add_argument("--out", help="trace output path")
-    ps.add_argument("--format", default="csv", choices=["csv", "json"])
 
     pb = sub.add_parser("bench", help="run an experiment grid from a config file")
     pb.add_argument("--config", required=True)
 
     pc = sub.add_parser("check", help="replay a trace through the theory monitor")
-    pc.add_argument("trace", help="trace file (json carries solver metadata)")
+    pc.add_argument("trace", help="JSON trace file")
     pc.add_argument("--known-L", type=float, default=None)
     pc.add_argument("--fstar", type=float, default=None)
     pc.add_argument("--rho", default=None, choices=RHO_NAMES)
@@ -110,7 +109,7 @@ def _cmd_solve(args) -> int:
         for line in result.report.summary_lines():
             print("  monitor", line)
     if args.out:
-        write_trace(trace, args.format, args.out)
+        write_trace(trace, "json", args.out)
         print(f"trace written to {args.out}")
     if trace.termination == "non_finite":
         return EXIT_SOLVER

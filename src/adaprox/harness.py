@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import configparser
-import io
 import json
 import math
 import os
@@ -31,7 +30,7 @@ from .problems import (
     quadratic_problem,
     rng,
 )
-from .solver import IterationRecord, RunResult, SolverConfig, Trace, run
+from .solver import ENGINES, TERMINATIONS, IterationRecord, RunResult, SolverConfig, Trace, run
 
 
 class ParseError(UsageError):
@@ -168,7 +167,7 @@ def _read_block(linenos, bodies, n):
     failed = [(int(np.argmax(mask)), what) for mask, what in checks if mask.any()]
     if failed:
         t, what = min(failed, key=lambda f: f[0])
-        raise ParseError(f"{what} (entry {idx[t]:.0f}:{val[t]!r})",
+        raise ParseError(f"{what} (entry {idx[t]:.0f}:{float(val[t])!r})",
                          linenos[int(np.searchsorted(ends, t, side="right"))])
     if bad is not None:
         raise ParseError(_malformed_message(bodies[bad]), linenos[bad])
@@ -185,6 +184,8 @@ def parse_libsvm(source, n: Optional[int] = None) -> SparseDesign:
     read in blocks of lines, each checked and converted with array operations.
     The text carries no width: the design has ``n`` columns when given (a
     larger index is an error), else as many as the largest index."""
+    if n is not None and n < 1:
+        raise UsageError("n must be >= 1")
     lines = source.splitlines() if isinstance(source, str) else source
     labels, counts, indices, data = [], [np.zeros(1, np.int64)], [], []
     for linenos, block_labels, bodies in _data_blocks(lines):
@@ -229,7 +230,6 @@ TRACE_SCHEMA = (
     ("n_grad", "n_gradient", int),
     ("n_prox", "n_prox", int),
 )
-TRACE_COLUMNS = tuple(col for col, _, _ in TRACE_SCHEMA)
 
 
 def _fmt(v: float) -> str:
@@ -242,40 +242,42 @@ def _json_value(v):
 
 
 def write_trace(trace: Trace, fmt: str, path: str) -> None:
-    """Persist a trace: CSV (17 significant digits, LF endings) or strict JSON
-    (non-finite values as null) with a run-metadata object."""
-    records = trace.all_records()
-    if not records:
-        raise UsageError("trace is empty")
-    if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(TRACE_COLUMNS) + "\n")
-        for r in records:
-            buf.write(",".join(str(getattr(r, f)) if t is int else _fmt(getattr(r, f))
-                               for _, f, t in TRACE_SCHEMA) + "\n")
-        with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
-    elif fmt == "json":
-        metadata = {
-            "solver": trace.engine,
-            "seed": trace.seed,
-            "problem": trace.problem_name,
-            "termination": trace.termination,
-            "lambda0": trace.lambda0,
-        }
-        # one encoder call per record keeps memory flat in the trace length
-        with open(path, "w") as fh:
-            fh.write('{"metadata": ' + json.dumps(metadata, allow_nan=False)
-                     + ', "records": [')
-            sep = "\n"
-            for r in records:
-                fh.write(sep + json.dumps({c: _json_value(getattr(r, f))
-                                           for c, f, _ in TRACE_SCHEMA},
-                                          allow_nan=False))
-                sep = ",\n"
-            fh.write("\n]}\n")
-    else:
+    """Persist a trace as strict JSON (non-finite values as null) with a
+    run-metadata object. ``fmt`` must be "json"."""
+    if fmt != "json":
         raise UsageError(f"unknown trace format {fmt!r}")
+    metadata = {
+        "solver": trace.engine,
+        "seed": trace.seed,
+        "problem": trace.problem_name,
+        "termination": trace.termination,
+        "lambda0": trace.lambda0,
+    }
+    # one encoder call per record keeps memory flat in the trace length
+    with open(path, "w") as fh:
+        fh.write('{"metadata": ' + json.dumps(metadata, allow_nan=False)
+                 + ', "records": [')
+        sep = "\n"
+        for r in trace.all_records():
+            fh.write(sep + json.dumps({c: _json_value(getattr(r, f))
+                                       for c, f, _ in TRACE_SCHEMA},
+                                      allow_nan=False))
+            sep = ",\n"
+        fh.write("\n]}\n")
+
+
+#: The trace metadata: (key, test of its JSON value, what the test asks).
+_METADATA = (
+    ("solver", lambda v: v in ENGINES, f"one of {ENGINES}"),
+    ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
+    ("problem", lambda v: type(v) is str, "a string"),
+    ("termination", lambda v: v in TERMINATIONS, f"one of {TERMINATIONS}"),
+    ("lambda0", lambda v: type(v) in (int, float), "a number"),
+)
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
 
 
 def _json_record(d) -> IterationRecord:
@@ -297,31 +299,22 @@ def _json_record(d) -> IterationRecord:
 
 
 def read_trace(path: str) -> Trace:
-    """Load a persisted trace. CSV carries no metadata, so a CSV trace reads
-    back with no engine, no seed and lambda0 taken from its k=0 record. A file
-    that is not such a trace is a UsageError naming it."""
+    """Load a JSON trace. A file that is not such a trace, with every metadata
+    key present and of its type, is a UsageError naming it."""
     try:
-        if path.endswith(".json"):
-            with open(path) as fh:
-                payload = json.load(fh)
-            meta = payload["metadata"]
-            recs = [_json_record(d) for d in payload["records"]]
-        else:
-            with open(path) as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
-            if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
-                raise ValueError("unexpected CSV header")
-            meta, rows = {}, (dict(zip(TRACE_COLUMNS, ln.split(","))) for ln in lines[1:])
-            recs = [IterationRecord(**{f: t(d[c]) for c, f, t in TRACE_SCHEMA}) for d in rows]
+        with open(path) as fh:
+            payload = json.load(fh, parse_constant=_reject_constant)
+        meta = payload["metadata"]
+        for key, ok, what in _METADATA:
+            if not ok(meta[key]):
+                raise ValueError(f"metadata {key!r} holds {meta[key]!r}, not {what}")
+        recs = [_json_record(d) for d in payload["records"]]
         if not recs or recs[0].k != 0:
             raise ValueError("no k=0 record")
-        lambda0 = meta.get("lambda0", recs[0].lam)
-        if type(lambda0) not in (int, float):
-            raise ValueError(f"lambda0 {lambda0!r} is not a number")
-        return Trace(problem_name=meta.get("problem", ""), engine=meta.get("solver"),
-                     lambda0=float(lambda0), init=recs[0],
-                     records=recs[1:], termination=meta.get("termination", ""),
-                     seed=meta.get("seed"))
+        return Trace(problem_name=meta["problem"], engine=meta["solver"],
+                     lambda0=float(meta["lambda0"]), init=recs[0],
+                     records=recs[1:], termination=meta["termination"],
+                     seed=meta["seed"])
     except KeyError as exc:
         raise UsageError(f"trace {path} lacks {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
@@ -330,6 +323,12 @@ def read_trace(path: str) -> Trace:
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
+
+def _reject_unknown(where: str, keys, known) -> None:
+    unknown = set(keys) - set(known)
+    if unknown:
+        raise UsageError(f"{where} has unknown keys {sorted(unknown)}")
+
 
 def make_rho(name: str) -> RhoSequence:
     if name not in RHO_NAMES:
@@ -343,15 +342,12 @@ class ExperimentConfig:
     solvers: List[Tuple[str, SolverConfig]]
     seeds: List[int]
     out_dir: str
-    trace_format: str = "csv"
 
     def __post_init__(self):
         if not self.solvers:
             raise UsageError("need at least one solver")
         if not self.seeds:
             raise UsageError("need at least one seed")
-        if self.trace_format not in ("csv", "json"):
-            raise UsageError("trace format must be csv or json")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -365,18 +361,17 @@ def load_config(path: str) -> ExperimentConfig:
             raise UsageError("config needs [problem] and [run] sections")
         problem = dict(cp["problem"])
         runsec = cp["run"]
+        _reject_unknown("[run]", runsec, ("seeds", "out"))
         seeds = [int(s) for s in runsec.get("seeds", "0").split()]
         out_dir = runsec.get("out", "out")
-        fmt = runsec.get("format", "csv")
         solvers = []
         for section in cp.sections():
             if not section.startswith("solver "):
                 continue
             name = section[len("solver "):]
             s = cp[section]
-            unknown = set(s) - {"engine", "rho", "lambda0", "max_iters", "max_seconds", "tol"}
-            if unknown:
-                raise UsageError(f"[{section}] has unknown keys {sorted(unknown)}")
+            _reject_unknown(f"[{section}]", s, ("engine", "rho", "lambda0", "max_iters",
+                                                "max_seconds", "tol"))
             sc = SolverConfig(
                 engine=s.get("engine", "adapgnc"),
                 rho=make_rho(s.get("rho", "rho2")),
@@ -387,8 +382,7 @@ def load_config(path: str) -> ExperimentConfig:
             )
             sc.validate()
             solvers.append((name, sc))
-        return ExperimentConfig(problem=problem, solvers=solvers, seeds=seeds,
-                                out_dir=out_dir, trace_format=fmt)
+        return ExperimentConfig(problem=problem, solvers=solvers, seeds=seeds, out_dir=out_dir)
     except (configparser.Error, ValueError) as exc:
         raise UsageError(f"config {path}: {exc}") from None
 
@@ -396,11 +390,7 @@ def load_config(path: str) -> ExperimentConfig:
 def save_config(config: ExperimentConfig, path: str) -> None:
     cp = configparser.ConfigParser()
     cp["problem"] = {k: str(v) for k, v in config.problem.items()}
-    cp["run"] = {
-        "seeds": " ".join(str(s) for s in config.seeds),
-        "out": config.out_dir,
-        "format": config.trace_format,
-    }
+    cp["run"] = {"seeds": " ".join(str(s) for s in config.seeds), "out": config.out_dir}
     for name, sc in config.solvers:
         if sc.monitor or sc.keep_iterates:
             raise UsageError(f"solver {name}: monitor and keep_iterates cannot be saved")
@@ -424,10 +414,23 @@ def save_config(config: ExperimentConfig, path: str) -> None:
 # ---------------------------------------------------------------------------
 # Problem construction from a spec dict
 
+#: The spec keys each problem kind reads, besides "kind".
+PROBLEM_KEYS = {
+    "quadratic": ("dim", "eig_min", "eig_max"),
+    "logistic": ("data", "m", "n", "gamma"),
+    "lasso": ("m", "n", "l1_weight"),
+    "nmf": ("n", "r", "m"),
+    "mc": ("p", "q", "r", "nobs", "noise"),
+}
+
 
 def build_problem(spec: Dict[str, str], seed: int):
-    """Instantiate (problem, x0) from a flat problem spec and a seed."""
+    """Instantiate (problem, x0) from a flat problem spec and a seed; a key
+    the spec's kind does not read is a UsageError."""
     kind = spec.get("kind", "quadratic")
+    if kind not in PROBLEM_KEYS:
+        raise UsageError(f"unknown problem kind {kind!r}")
+    _reject_unknown(f"problem kind {kind!r}", set(spec) - {"kind"}, PROBLEM_KEYS[kind])
     if kind == "quadratic":
         dim = int(spec.get("dim", 10))
         eigs = np.linspace(float(spec.get("eig_min", 1.0)),
@@ -458,7 +461,7 @@ def build_problem(spec: Dict[str, str], seed: int):
         shape = FactorShape(p=n, q=m, r=r)
         problem = nmf_problem(A, shape)
         x0 = np.abs(rng(seed + 1).standard_normal(shape.dim))
-    elif kind == "mc":
+    else:
         p = int(spec.get("p", 15))
         q = int(spec.get("q", 12))
         r = int(spec.get("r", 3))
@@ -468,8 +471,6 @@ def build_problem(spec: Dict[str, str], seed: int):
         shape = FactorShape(p=p, q=q, r=r)
         problem = mc_problem(obs, shape)
         x0 = rng(seed + 1).standard_normal(shape.dim)
-    else:
-        raise UsageError(f"unknown problem kind {kind!r}")
     return problem, x0
 
 
@@ -512,9 +513,8 @@ def run_experiment(config: ExperimentConfig):
                 problem, x0 = build_problem(config.problem, seed)
                 result = run(problem, x0, replace(sc), seed=seed)
                 wall = time.perf_counter() - t_start
-                path = os.path.join(config.out_dir,
-                                    f"{name}_seed{seed}.{config.trace_format}")
-                write_trace(result.trace, config.trace_format, path)
+                path = os.path.join(config.out_dir, f"{name}_seed{seed}.json")
+                write_trace(result.trace, "json", path)
                 rows.append(ComparisonRow(
                     solver=name, seed=seed,
                     iterations=len(result.trace.records),

@@ -101,12 +101,11 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     The tolerance at k is 1e-9 * (1 + |F(x_{k-1})|), except for the bounds on
     lam_k and omega_k: 1e-12 * max(1, bound), or max(1, lam0) for lam_upper.
     Only traces of the branch-rule engines are accepted; other engines carry
-    no such guarantees, and a CSV trace names no engine.
+    no such guarantees.
     """
     if trace.engine not in MONITORED_ENGINES:
         raise UsageError(
-            f"monitor covers engines {MONITORED_ENGINES}, got {trace.engine!r}; "
-            "only JSON traces record their engine")
+            f"monitor covers engines {MONITORED_ENGINES}, got {trace.engine!r}")
     if known_L is None and problem is not None:
         known_L = problem.smooth.known_L
     if fstar is None and problem is not None:

@@ -88,7 +88,7 @@ class Trace:
     """Initialization record (k=0) plus one record per loop iteration."""
 
     problem_name: str
-    engine: Optional[str]  # None for a trace read back from CSV, which names none
+    engine: str
     lambda0: float
     init: IterationRecord
     records: List[IterationRecord] = field(default_factory=list)

@@ -13,7 +13,7 @@ from adaprox import RhoSequence, SolverConfig, UsageError, monitor_check, run
 from adaprox.adaptive import RHO_NAMES
 from adaprox.cli import cli_main
 from adaprox.harness import (
-    TRACE_COLUMNS,
+    TRACE_SCHEMA,
     ExperimentConfig,
     ParseError,
     build_problem,
@@ -29,6 +29,8 @@ from adaprox.harness import (
 )
 from adaprox.problems import quadratic_problem, rng
 from adaprox.solver import ENGINES, IterationRecord
+
+TRACE_COLUMNS = [c for c, _, _ in TRACE_SCHEMA]
 
 
 class TestLibsvm:
@@ -70,6 +72,16 @@ class TestLibsvm:
     def test_empty_dataset_rejected(self):
         with pytest.raises(UsageError):
             parse_libsvm("# nothing here")
+
+    @pytest.mark.parametrize("text", ["1\n", "1 1:1\n"], ids=["label-only", "entry"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_width_below_one_rejected(self, text, n):
+        with pytest.raises(UsageError, match=r"^n must be >= 1$"):
+            parse_libsvm(text, n=n)
+
+    def test_error_message_prints_value_as_float(self):
+        with pytest.raises(ParseError, match=r"\(entry 1:1\.0\)$"):
+            parse_libsvm("1 1:1 1:1")
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -118,37 +130,7 @@ def small_result(max_iters=8, engine="adapgnc", seed=3):
 
 
 class TestTracePersistence:
-    def test_csv_shape_and_header(self, tmp_path):
-        res = small_result()
-        path = str(tmp_path / "t.csv")
-        write_trace(res.trace, "csv", path)
-        with open(path, newline="") as fh:
-            text = fh.read()
-        lines = text.split("\n")
-        assert lines[0] == ",".join(TRACE_COLUMNS)
-        assert lines[0].split(",") == ["k", "elapsed_s", "f", "F", "gradmap_norm",
-                                       "lambda", "L_k", "l_k", "rho",
-                                       "n_value", "n_grad", "n_prox"]
-        assert len(lines) == 1 + len(res.trace.all_records()) + 1  # trailing LF
-        assert text.endswith("\n") and "\r" not in text
-
-    def test_csv_round_trip_is_lossless(self, tmp_path):
-        res = small_result()
-        path = str(tmp_path / "t.csv")
-        write_trace(res.trace, "csv", path)
-        back = read_trace(path)
-        for a, b in zip(res.trace.all_records(), back.all_records()):
-            assert a.k == b.k
-            # 17 significant digits reproduce doubles exactly
-            for field in ("f_value", "F_value", "gradmap_norm", "lam",
-                          "elapsed_seconds"):
-                assert getattr(a, field) == getattr(b, field)
-            for field in ("L_k", "l_k", "rho_used"):
-                av, bv = getattr(a, field), getattr(b, field)
-                assert av == bv or (math.isnan(av) and math.isnan(bv))
-            assert (a.n_gradient, a.n_prox) == (b.n_gradient, b.n_prox)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["json"])
     def test_round_trip_keeps_every_field(self, tmp_path, fmt):
         # gd-ls spends extra f evaluations, so n_value differs from n_gradient
         res = small_result(engine="gd-ls")
@@ -214,18 +196,16 @@ class TestTracePersistence:
         with pytest.raises(UsageError):
             write_trace(res.trace, "yaml", str(tmp_path / "t.yaml"))
 
-    def test_csv_trace_names_no_engine(self, tmp_path, capsys):
-        """A CSV trace carries no engine, so it must not pass for an adapgnc one."""
-        res = small_result(engine="gd-ls")
-        path = str(tmp_path / "t.csv")
-        write_trace(res.trace, "csv", path)
+    def test_unmonitored_engine_trace_is_refused(self, tmp_path, capsys):
+        """A gd-ls trace carries no descent guarantees, so check refuses it."""
+        path = str(tmp_path / "t.json")
+        write_trace(small_result(engine="gd-ls").trace, "json", path)
         back = read_trace(path)
-        assert back.engine is None
-        assert back.lambda0 == res.trace.lambda0
-        with pytest.raises(UsageError):
+        assert back.engine == "gd-ls"
+        with pytest.raises(UsageError, match="gd-ls"):
             monitor_check(back)
         assert cli_main(["check", path]) == 2
-        assert "JSON" in capsys.readouterr().err
+        assert "gd-ls" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, text", [
         ("empty.json", ""),
@@ -249,9 +229,18 @@ class TestTracePersistence:
         ("records", "lambda", "0.5"),
         ("records", "n_grad", None),
         ("metadata", "lambda0", "1.0"),
-    ], ids=["float_k", "bool_f", "string_lambda", "null_count", "string_lambda0"])
+        ("metadata", "solver", "newton"),
+        ("metadata", "solver", None),
+        ("metadata", "termination", "done"),
+        ("metadata", "problem", 3),
+        ("metadata", "seed", True),
+        ("metadata", "seed", 1.0),
+    ], ids=["float_k", "bool_f", "string_lambda", "null_count", "string_lambda0",
+            "unknown_solver", "null_solver", "unknown_termination", "number_problem",
+            "bool_seed", "float_seed"])
     def test_json_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, where, key, value):
-        """Each JSON value must be a number of its column's type, never coerced."""
+        """Each JSON value must be of its key's type, never coerced; the engine
+        and the termination must be ones the solver has."""
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
         with open(path) as fh:
@@ -265,6 +254,33 @@ class TestTracePersistence:
         assert cli_main(["check", path]) == 2
         assert "t.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["solver", "seed", "problem", "termination", "lambda0"])
+    def test_json_missing_metadata_key_is_usage_error(self, tmp_path, capsys, key):
+        path = str(tmp_path / "t.json")
+        write_trace(small_result().trace, "json", path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        del payload["metadata"][key]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(UsageError, match=f"t.json lacks '{key}'"):
+            read_trace(path)
+        assert cli_main(["check", path]) == 2
+
+    def test_json_infinity_token_is_usage_error(self, tmp_path, capsys):
+        """The writer writes non-finite values as null; a bare NaN or Infinity
+        token is not RFC 8259 JSON, so the reader refuses it."""
+        path = str(tmp_path / "t.json")
+        write_trace(small_result().trace, "json", path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["metadata"]["lambda0"] = math.inf
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(UsageError, match="t.json: Infinity is not RFC 8259 JSON"):
+            read_trace(path)
+        assert cli_main(["check", path]) == 2
+
     def test_json_integer_in_float_column_reads_as_float(self, tmp_path):
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
@@ -275,13 +291,6 @@ class TestTracePersistence:
             json.dump(payload, fh)
         back = read_trace(path)
         assert type(back.records[0].f_value) is float and back.records[0].f_value == 2.0
-
-    def test_csv_reader_rejects_foreign_header(self, tmp_path):
-        path = str(tmp_path / "bad.csv")
-        with open(path, "w") as fh:
-            fh.write("a,b,c\n1,2,3\n")
-        with pytest.raises(UsageError):
-            read_trace(path)
 
 
 class TestConfig:
@@ -362,6 +371,28 @@ class TestConfig:
                      "[solver f]\nengine = fixed\nlambda0 = 0.5\nfixed_step = 0.1\n")
         with pytest.raises(UsageError, match="fixed_step"):
             load_config(path)
+
+    @pytest.mark.parametrize("line", ["format = csv", "seed = 3"], ids=["format", "seed"])
+    def test_unknown_run_key_rejected(self, tmp_path, capsys, line):
+        path = str(tmp_path / "bad.ini")
+        with open(path, "w") as fh:
+            fh.write(f"[problem]\nkind = quadratic\n[run]\n{line}\nout = {tmp_path / 'out'}\n"
+                     "[solver s]\nmax_iters = 5\n")
+        assert cli_main(["bench", "--config", path]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_unknown_problem_key_rejected(self, tmp_path, capsys):
+        spec = {"kind": "quadratic", "m": "9", "data": "nope"}
+        with pytest.raises(UsageError, match=r"\['data', 'm'\]"):
+            build_problem(spec, 0)
+        path = str(tmp_path / "bad.ini")
+        with open(path, "w") as fh:
+            fh.write("[problem]\nkind = quadratic\nm = 9\ndata = nope\n"
+                     f"[run]\nout = {tmp_path / 'out'}\n[solver s]\nmax_iters = 5\n")
+        assert cli_main(["bench", "--config", path]) == 1
+        with open(tmp_path / "out" / "summary.json") as fh:
+            assert json.load(fh)["rows"][0]["error_type"] == "UsageError"
 
     def test_grid_rows_and_optgap(self, tmp_path):
         cfg = self.make_config(tmp_path)
@@ -454,7 +485,7 @@ def test_build_problem_seed_determinism():
 
 class TestCli:
     def test_solve_ok(self, tmp_path, capsys):
-        out = str(tmp_path / "trace.csv")
+        out = str(tmp_path / "trace.json")
         code = cli_main(["solve", "--problem", "quadratic", "--dim", "4",
                          "--max-iters", "20", "--out", out])
         assert code == 0
@@ -470,8 +501,7 @@ class TestCli:
     def test_check_clean_trace(self, tmp_path, capsys):
         out = str(tmp_path / "trace.json")
         assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
-                         "--max-iters", "25", "--out", out,
-                         "--format", "json"]) == 0
+                         "--max-iters", "25", "--out", out]) == 0
         code = cli_main(["check", out, "--rho", "rho2", "--known-L", "1.0",
                          "--fstar", "0.0"])
         assert code == 0
@@ -481,8 +511,7 @@ class TestCli:
         """`adaprox check` on a JSON trace whose k=1 record has one value replaced."""
         out = str(tmp_path / "trace.json")
         assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
-                         "--max-iters", "25", "--out", out,
-                         "--format", "json"]) == 0
+                         "--max-iters", "25", "--out", out]) == 0
         with open(out) as fh:
             payload = json.load(fh)
         payload["records"][1][column] = value
@@ -497,6 +526,24 @@ class TestCli:
     def test_check_nan_observation_exits_3(self, tmp_path, capsys):
         assert self.check_corrupted(tmp_path, "F", None) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_solve_out_then_check(self, tmp_path, capsys):
+        out = str(tmp_path / "t.json")
+        assert cli_main(["solve", "--max-iters", "10", "--out", out]) == 0
+        assert cli_main(["check", out]) == 0
+
+    def test_solve_format_flag_is_gone(self, tmp_path, capsys):
+        assert cli_main(["solve", "--format", "csv", "--out", str(tmp_path / "t.csv")]) == 2
+        assert not os.path.exists(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "mc", "--m", "5", "--n", "4"],
+        ["--problem", "nmf", "--data", "a.csv"],
+        ["--problem", "quadratic", "--m", "9", "--data", "nope"],
+    ], ids=["mc-m-n", "nmf-data", "quadratic-m-data"])
+    def test_solve_rejects_problem_keys_kind_does_not_read(self, capsys, argv):
+        assert cli_main(["solve", "--max-iters", "3"] + argv) == 2
+        assert "unknown keys" in capsys.readouterr().err
 
     def test_solve_infinite_lambda0_exits_2(self, capsys):
         assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
