@@ -18,6 +18,7 @@ from .core import UsageError
 from .harness import (
     PROBLEM_KEYS,
     build_problem,
+    check_problem_spec,
     load_config,
     make_rho,
     read_trace,
@@ -53,6 +54,8 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="LIBSVM file for the logistic problem")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
+    p.add_argument("--p", type=int)
+    p.add_argument("--q", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--nobs", type=int)
@@ -61,7 +64,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 def _problem_spec(args) -> dict:
     spec = {"kind": args.problem}
-    for key in ("data", "m", "n", "r", "dim", "nobs", "gamma"):
+    for key in ("data", "m", "n", "p", "q", "r", "dim", "nobs", "gamma"):
         val = getattr(args, key, None)
         if val is not None:
             spec[key] = str(val)
@@ -69,25 +72,30 @@ def _problem_spec(args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="adaprox",
+    # no abbreviated flags: a prefix such as "--pro" is an error, never "--problem"
+    ap = argparse.ArgumentParser(prog="adaprox", allow_abbrev=False,
                                  description="Adaptive proximal-gradient toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="run one solver on one problem")
+    ps = sub.add_parser("solve", help="run one solver on one problem",
+                        allow_abbrev=False)
     _add_problem_flags(ps)
     _add_solver_flags(ps)
     ps.add_argument("--out", help="trace output path")
 
-    pb = sub.add_parser("bench", help="run an experiment grid from a config file")
+    pb = sub.add_parser("bench", help="run an experiment grid from a config file",
+                        allow_abbrev=False)
     pb.add_argument("--config", required=True)
 
-    pc = sub.add_parser("check", help="replay a trace through the theory monitor")
+    pc = sub.add_parser("check", help="replay a trace through the theory monitor",
+                        allow_abbrev=False)
     pc.add_argument("trace", help="JSON trace file")
     pc.add_argument("--known-L", type=float, default=None)
     pc.add_argument("--fstar", type=float, default=None)
     pc.add_argument("--rho", default=None, choices=RHO_NAMES)
 
-    pg = sub.add_parser("gen", help="emit a synthetic dataset to a file")
+    pg = sub.add_parser("gen", help="emit a synthetic dataset to a file",
+                        allow_abbrev=False)
     _add_problem_flags(pg)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", required=True)
@@ -142,6 +150,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    check_problem_spec(_problem_spec(args))
     if args.problem == "logistic":
         design = logistic_synthetic(args.m or 200, args.n or 20, args.seed)
         with open(args.out, "w") as fh:
@@ -150,7 +159,7 @@ def _cmd_gen(args) -> int:
         A = nmf_synthetic(args.n or 200, args.r or 5, args.m or 300, args.seed)
         np.savetxt(args.out, A, fmt="%.17g", delimiter=",")
     elif args.problem == "mc":
-        obs = mc_synthetic(args.m or 15, args.n or 12, args.r or 3,
+        obs = mc_synthetic(args.p or 15, args.q or 12, args.r or 3,
                            args.nobs or 60, 0.0, args.seed)
         with open(args.out, "w") as fh:
             fh.write("i,j,s\n")

@@ -360,6 +360,7 @@ def load_config(path: str) -> ExperimentConfig:
         if "problem" not in cp or "run" not in cp:
             raise UsageError("config needs [problem] and [run] sections")
         problem = dict(cp["problem"])
+        check_problem_spec(problem)
         runsec = cp["run"]
         _reject_unknown("[run]", runsec, ("seeds", "out"))
         seeds = [int(s) for s in runsec.get("seeds", "0").split()]
@@ -424,13 +425,20 @@ PROBLEM_KEYS = {
 }
 
 
-def build_problem(spec: Dict[str, str], seed: int):
-    """Instantiate (problem, x0) from a flat problem spec and a seed; a key
-    the spec's kind does not read is a UsageError."""
+def check_problem_spec(spec: Dict[str, str]) -> str:
+    """The spec's kind; an unknown kind, or a key the kind does not read, is a
+    UsageError."""
     kind = spec.get("kind", "quadratic")
     if kind not in PROBLEM_KEYS:
         raise UsageError(f"unknown problem kind {kind!r}")
     _reject_unknown(f"problem kind {kind!r}", set(spec) - {"kind"}, PROBLEM_KEYS[kind])
+    return kind
+
+
+def build_problem(spec: Dict[str, str], seed: int):
+    """Instantiate (problem, x0) from a flat problem spec and a seed, checked
+    by check_problem_spec."""
+    kind = check_problem_spec(spec)
     if kind == "quadratic":
         dim = int(spec.get("dim", 10))
         eigs = np.linspace(float(spec.get("eig_min", 1.0)),

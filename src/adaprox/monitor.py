@@ -13,8 +13,8 @@ Checks are reported under these names, in this order:
   sum_bound                  running sum lam_i^2 ||grad f + h'||^2 <= S
 
 Checks whose inputs are unavailable (no certified L, no reference optimum,
-iterates not retained) are reported as skipped, never silently passed, and
-an observation whose margin is NaN fails its check.
+neither streamed residuals nor retained iterates) are reported as skipped,
+never silently passed, and an observation whose margin is NaN fails its check.
 """
 
 from __future__ import annotations
@@ -86,6 +86,14 @@ class MonitorReport:
         for name in self.skipped:
             lines.append(f"{name}: skipped (inputs unavailable)")
         return lines
+
+
+def squared_residual(x_prev, x, lam_prev: float, g_prev, g) -> float:
+    """sum_bound's term ||grad f(x_k) + h'_k||^2 at step k, with h'_k =
+    (x_{k-1} - x_k)/lam_{k-1} - grad f(x_{k-1}) implied by the prox step.
+    The method sum skips np.sum's wrapper; it rounds the same."""
+    r = g + ((x_prev - x) / lam_prev - g_prev)
+    return (r * r).sum()
 
 
 def _safe_exp(z: float) -> float:
@@ -190,19 +198,20 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
                                "complexity_bound_realized"])
 
     # (f) bound on the running weighted subgradient-residual sum; needs the
-    # iterates and gradients retained plus the constants above.
-    have_vectors = K >= 1 and all(r.x is not None and r.grad is not None for r in rs)
-    if fstar is not None and have_consts and have_vectors:
+    # constants above and the residuals: streamed by run(), or replayed from
+    # retained iterates and gradients.
+    sq = None
+    if fstar is not None and have_consts and K >= 1:
+        sq = trace.residual_sq
+        if sq is None and all(r.x is not None and r.grad is not None for r in rs):
+            sq = np.fromiter((squared_residual(prev.x, cur.x, lp, prev.grad, cur.grad)
+                              for prev, cur, lp in zip(rs, recs, lam)), float, K)
+    if sq is not None:
         if math.isinf(hi) or om == 0.0:
             report.S = math.inf
         else:
             report.S = (hi ** 2 / lo) * (2.0 * hi ** 2 / (om * lo ** 2) * V0
                                          + 2.0 * (F[0] - fstar))
-        # implied_subgradient's expression, unchecked; pairwise, not K x n floats
-        sq = np.empty(K)
-        for i, (prev, cur) in enumerate(zip(rs, recs)):
-            hp = (prev.x - cur.x) / lam[i] - prev.grad
-            sq[i] = np.sum((cur.grad + hp) ** 2)
         report.checks.append(_check("sum_bound", ks, np.cumsum(lam_k ** 2 * sq),
                                     report.S, tol))
     else:

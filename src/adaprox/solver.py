@@ -85,7 +85,10 @@ class IterationRecord:
 
 @dataclass
 class Trace:
-    """Initialization record (k=0) plus one record per loop iteration."""
+    """Initialization record (k=0) plus one record per loop iteration.
+
+    ``residual_sq[k-1]`` is sum_bound's squared residual at record k, streamed
+    by ``run`` when the monitor checks sum_bound; it is not persisted."""
 
     problem_name: str
     engine: str
@@ -94,6 +97,7 @@ class Trace:
     records: List[IterationRecord] = field(default_factory=list)
     termination: str = ""
     seed: Optional[int] = None
+    residual_sq: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def all_records(self) -> List[IterationRecord]:
         return [self.init] + list(self.records)
@@ -144,10 +148,20 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     per iteration until the first of: gradient-mapping tolerance, iteration
     cap, wall-clock budget, stagnation (a fixed point, reported as success),
     or a non-finite f_k or ||G_k|| (a failure; that record is not kept, and
-    x_final is its iterate)."""
+    x_final is its iterate).
+
+    With keep_iterates every record carries its x and grad; otherwise only the
+    last kept record does. With the monitor on and the problem's known_L and
+    known_fstar both set, sum_bound's residuals are streamed into the trace
+    instead."""
     config.validate()
     engine = config.engine
-    keep = config.keep_iterates or config.monitor
+    residuals = None
+    if (config.monitor and problem.smooth.known_L is not None
+            and problem.known_fstar is not None):
+        from .monitor import squared_residual
+
+        residuals = []
     problem.counters.reset()
     t0 = time.perf_counter()
 
@@ -159,14 +173,15 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     # lam, lam_prev: lambda_{k-1}, lambda_{k-2}; lambda_{-1} = lambda_0 convention
     lam = lam_prev = config.lambda0
     x_next, dx, nd, rec = _prox_step_record(problem, 0, x, f, grad, lam, _NO_CURVATURE,
-                                            math.nan, 0.0, keep)
+                                            math.nan, 0.0, config.keep_iterates)
     trace = Trace(problem_name=problem.name, engine=engine, lambda0=lam, init=rec,
                   seed=seed)
     best_F, best_x = rec.F_value, x.copy()
+    x_rec, grad_rec = x, grad  # the x and grad of the last kept record
     termination = "max_iters"
 
     for k in itertools.count(1):
-        x = x_next  # x_k, the prox step of the kept record k - 1
+        x_prev, x = x, x_next  # x_k, the prox step of the kept record k - 1
         if rec.gradmap_norm <= config.gradmap_tol:
             termination = "tol"
             break
@@ -208,14 +223,22 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         lam_prev, lam = lam, step
 
         x_next, dx, nd, rec = _prox_step_record(problem, k, x, f, grad, lam, curv,
-                                                rho_used, elapsed, keep)
+                                                rho_used, elapsed, config.keep_iterates)
         if not (math.isfinite(rec.f_value) and math.isfinite(rec.gradmap_norm)):
             termination = "non_finite"
             break
         trace.records.append(rec)
+        x_rec, grad_rec = x, grad
+        if residuals is not None:
+            residuals.append(squared_residual(x_prev, x, lam_prev, grad_prev, grad))
         if rec.F_value < best_F:
             best_F, best_x = rec.F_value, x.copy()
 
+    last = trace.records[-1] if trace.records else trace.init
+    if last.x is None:
+        last.x, last.grad = x_rec.copy(), grad_rec.copy()
+    if residuals is not None:
+        trace.residual_sq = np.array(residuals)
     trace.termination = termination
     result = RunResult(trace=trace, best=best_x, best_F=best_F, x_final=x)
     if config.monitor:
@@ -227,10 +250,11 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
 
 
 def ergodic_average(trace: Trace) -> Vector:
-    """Step-size weighted mean of the retained iterates x_1..x_k."""
-    recs = [r for r in trace.records if r.x is not None]
-    if not recs:
-        raise UsageError("ergodic_average needs a nonempty trace with retained iterates")
+    """Step-size weighted mean of the iterates x_1..x_k; every record must
+    carry its x (a run with keep_iterates)."""
+    recs = trace.records
+    if not recs or any(r.x is None for r in recs):
+        raise UsageError("ergodic_average needs a nonempty trace run with keep_iterates")
     acc = np.zeros_like(recs[0].x)
     wsum = 0.0
     for r in recs:

@@ -1,6 +1,7 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps adaprox's public
-functions by name. Renaming one of them must fail here, in the unit tests,
-and not only when the benchmark runs."""
+functions by name, and its checks (``perfbench/checks.py``) read what a run
+returns. Renaming one of those functions, or dropping what a check reads,
+must fail here, in the unit tests, and not only when the benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -9,14 +10,19 @@ import numpy as np
 
 from adaprox import harness, monitor, problems, solver
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_perfbench("tracing")
 
 
 def test_tracer_installs_and_uninstalls():
@@ -54,3 +60,20 @@ def test_traced_solve_counts_every_step_rule_call():
     assert iters >= 5 and job["solver.iters"] == iters
     for name in ("adaptive.curvature", "adaptive.step_rule", "adaptive.rho"):
         assert job[name + ".calls"] == iters, name
+
+
+def test_monitored_nmf_run_passes_benchmark_check():
+    """``checks.nmf_output`` recomputes the gradient mapping from the last
+    record's iterate, which a monitored run without keep_iterates must keep."""
+    checks = load_perfbench("checks")
+    g = np.random.default_rng(7)
+    shape = problems.FactorShape(p=12, q=10, r=2)
+    A = np.abs(g.standard_normal((12, 3))) @ np.abs(g.standard_normal((10, 3))).T / 3
+    x0 = 0.5 * np.abs(g.standard_normal(shape.dim))
+    tol = 1e-6
+    result = solver.run(problems.nmf_problem(A, shape), x0,
+                        solver.SolverConfig(lambda0=1e-2, max_iters=10_000,
+                                            gradmap_tol=tol, monitor=True))
+    assert result.termination == "tol"
+    assert all(r.x is None for r in result.trace.all_records()[:-1])
+    assert checks.nmf_output(A, shape.r, x0, tol, result) == []

@@ -390,9 +390,19 @@ class TestConfig:
         with open(path, "w") as fh:
             fh.write("[problem]\nkind = quadratic\nm = 9\ndata = nope\n"
                      f"[run]\nout = {tmp_path / 'out'}\n[solver s]\nmax_iters = 5\n")
-        assert cli_main(["bench", "--config", path]) == 1
-        with open(tmp_path / "out" / "summary.json") as fh:
-            assert json.load(fh)["rows"][0]["error_type"] == "UsageError"
+        assert cli_main(["bench", "--config", path]) == 2
+        assert "['data', 'm']" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "summary.json")
+
+    def test_unknown_problem_kind_rejected(self, tmp_path, capsys):
+        path = str(tmp_path / "bad.ini")
+        with open(path, "w") as fh:
+            fh.write(f"[problem]\nkind = cubic\n[run]\nout = {tmp_path / 'out'}\n"
+                     "[solver s]\nmax_iters = 5\n")
+        with pytest.raises(UsageError, match="cubic"):
+            load_config(path)
+        assert cli_main(["bench", "--config", path]) == 2
+        assert not os.path.exists(tmp_path / "out")
 
     def test_grid_rows_and_optgap(self, tmp_path):
         cfg = self.make_config(tmp_path)
@@ -591,6 +601,36 @@ class TestCli:
         assert cli_main(["solve", "--frobnicate"]) == 2
         # fixed steps at --lambda0; there is no separate step flag
         assert cli_main(["solve", "--solver", "fixed", "--fixed-step", "0.2"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--max-it", "3"],
+        ["solve", "--pro", "mc"],
+        ["check", "t.json", "--known", "1.0"],
+        ["gen", "--prob", "nmf", "--out", "a.csv"],
+    ], ids=["max-it", "pro", "known", "prob"])
+    def test_abbreviated_flag_exits_2(self, capsys, argv):
+        assert cli_main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_solve_mc_reads_p_and_q(self, capsys):
+        # before --p existed, argparse read it as an abbreviation of --problem
+        assert cli_main(["solve", "--problem", "mc", "--p", "5", "--q", "4",
+                         "--nobs", "20", "--max-iters", "3"]) == 0
+        # 20 observations fill a 5x4 grid and do not fit in a 4x4 one
+        assert cli_main(["solve", "--problem", "mc", "--p", "4", "--q", "4",
+                         "--nobs", "20", "--max-iters", "3"]) == 2
+        assert "from a 4x4 grid" in capsys.readouterr().err
+
+    def test_gen_mc_reads_p_and_q(self, tmp_path, capsys):
+        out = tmp_path / "mc.csv"
+        assert cli_main(["gen", "--problem", "mc", "--p", "4", "--q", "3",
+                         "--nobs", "12", "--out", str(out)]) == 0
+        i, j, _ = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+        assert i.size == 12
+        assert 0 <= i.min() and i.max() < 4 and 0 <= j.min() and j.max() < 3
+        # mc reads p and q, as in solve
+        assert cli_main(["gen", "--problem", "mc", "--m", "4", "--out", str(out)]) == 2
+        assert "unknown keys ['m']" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2

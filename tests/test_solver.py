@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from adaprox.adaptive import rho_total
 from adaprox.monitor import _check
 from adaprox.prox import Zero
 from adaprox.problems import lasso_problem, lasso_synthetic, quadratic_problem, rng
+from adaprox.solver import MONITORED_ENGINES
 
 
 def half_sq():
@@ -345,6 +347,15 @@ class TestErgodicAverage:
         with pytest.raises(UsageError):
             ergodic_average(res.trace)
 
+    def test_monitored_run_needs_keep_iterates(self):
+        # a monitored run keeps only the last record's iterate, which an
+        # average over the kept records would silently return
+        p = quadratic_problem([1.0, 2.0], seed=2)
+        res = run(p, np.ones(2), SolverConfig(max_iters=10, monitor=True))
+        assert res.trace.records[-1].x is not None
+        with pytest.raises(UsageError, match="keep_iterates"):
+            ergodic_average(res.trace)
+
 
 class TestMonitorIntegration:
     def test_clean_run_passes_all_checks(self):
@@ -484,7 +495,79 @@ def test_keep_iterates_retains_vectors():
     p = half_sq()
     on = run(p, np.array([1.0]), SolverConfig(engine="fixed", lambda0=0.5,
                                               max_iters=2, keep_iterates=True))
-    off = run(p, np.array([1.0]), SolverConfig(engine="fixed", lambda0=0.5,
-                                               max_iters=2))
-    assert on.trace.init.x is not None and on.trace.records[0].grad is not None
-    assert off.trace.init.x is None and off.trace.records[0].x is None
+    assert all(r.x is not None and r.grad is not None for r in on.trace.all_records())
+    for monitor in (False, True):
+        off = run(p, np.array([1.0]), SolverConfig(lambda0=0.5, max_iters=2,
+                                                   monitor=monitor))
+        *rest, last = off.trace.all_records()
+        assert all(r.x is None and r.grad is None for r in rest)
+        assert last.x is not None and last.grad is not None
+
+
+@pytest.mark.parametrize("termination, max_iters, tol, nan", [
+    ("max_iters", 5, 0.0, None),
+    ("max_iters", 0, 0.0, None),
+    ("tol", 10**4, 1e-8, None),
+    ("stagnation", 10**4, 0.0, None),
+    ("non_finite", 50, 0.0, "f"),
+    ("non_finite", 50, 0.0, "grad"),
+])
+def test_unkept_last_record_steps_to_x_final(termination, max_iters, tol, nan,
+                                             nan_problem):
+    """Without keep_iterates the last kept record still carries its x and
+    grad, and x_final is the prox step from them (also when the next
+    iterate's value or gradient was not finite)."""
+    exact = quadratic_problem([0.5, 1.0, 2.0], seed=1)
+    for monitor in (False, True):
+        p = nan_problem(nan) if nan else exact
+        res = run(p, np.ones(3), SolverConfig(max_iters=max_iters, gradmap_tol=tol,
+                                              monitor=monitor))
+        assert res.termination == termination
+        last = res.trace.all_records()[-1]
+        assert np.array_equal(last.grad, exact.smooth.gradient(last.x))
+        assert np.array_equal(res.x_final,
+                              p.prox_step(last.x - last.lam * last.grad, last.lam))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_live_sum_bound_equals_replay_over_kept_iterates(data):
+    """The live monitor, fed residuals streamed from the loop, reports exactly
+    what a replay over a keep_iterates run of the same configuration does."""
+    dim = data.draw(st.integers(1, 5))
+    eigs = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=dim, max_size=dim))
+    seed = data.draw(st.integers(0, 2**16))
+    rho = data.draw(st.sampled_from([
+        RhoSequence.rho1(), RhoSequence.rho2(), RhoSequence.custom([1.0, 0.5, 0.25])]))
+    config = SolverConfig(engine=data.draw(st.sampled_from(MONITORED_ENGINES)), rho=rho,
+                          lambda0=data.draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0])),
+                          max_iters=data.draw(st.integers(0, 60)))
+    problem = quadratic_problem(eigs, seed=seed)
+    x0 = rng(seed + 1).standard_normal(dim)
+    live = run(problem, x0, replace(config, monitor=True)).report
+    kept = run(problem, x0, replace(config, keep_iterates=True))
+    assert repr(live) == repr(monitor_check(kept.trace, problem, rho_total(rho)))
+    if kept.trace.records:
+        assert live.skipped == []
+
+
+def test_monitored_memory_is_flat_in_iterations():
+    """Between 200 and 2000 iterations the monitor adds far less to the peak
+    than the n * 16 bytes per iteration that kept iterates and gradients
+    would take."""
+    n = 100
+    problem = quadratic_problem(np.geomspace(1e-4, 1.0, n), seed=3)
+
+    def peak(K, monitor):
+        tracemalloc.start()
+        try:
+            res = run(problem, np.ones(n), SolverConfig(max_iters=K, monitor=monitor))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace.records) == K
+        assert not monitor or res.report.skipped == []
+        return peak
+
+    growth = {m: peak(2000, m) - peak(200, m) for m in (False, True)}
+    assert growth[True] - growth[False] < 0.25 * 1800 * n * 16
