@@ -11,14 +11,11 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .adaptive import RHO_NAMES, rho_total
 from .core import UsageError
 from .harness import (
     PROBLEM_KEYS,
     build_problem,
-    check_problem_spec,
     load_config,
     make_rho,
     read_trace,
@@ -29,7 +26,7 @@ from .harness import (
     write_trace,
 )
 from .monitor import monitor_check
-from .problems import logistic_synthetic, mc_synthetic, nmf_synthetic
+from .problems import logistic_synthetic
 from .solver import ENGINES, SolverConfig, run
 
 EXIT_OK = 0
@@ -94,20 +91,24 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fstar", type=float, default=None)
     pc.add_argument("--rho", default=None, choices=RHO_NAMES)
 
-    pg = sub.add_parser("gen", help="emit a synthetic dataset to a file",
+    pg = sub.add_parser("gen", help="write a synthetic logistic dataset as LIBSVM text",
                         allow_abbrev=False)
-    _add_problem_flags(pg)
+    # only the logistic kind reads a data file (solve --data), so gen writes no other
+    pg.add_argument("--problem", default="logistic", choices=("logistic",))
+    pg.add_argument("--m", type=int, default=200)
+    pg.add_argument("--n", type=int, default=20)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", required=True)
     return ap
 
 
 def _cmd_solve(args) -> int:
-    problem, x0 = build_problem(_problem_spec(args), args.seed)
     config = SolverConfig(engine=args.solver, rho=make_rho(args.rho),
                           lambda0=args.lambda0, max_iters=args.max_iters,
                           max_seconds=args.max_seconds, gradmap_tol=args.tol,
                           monitor=args.monitor)
+    config.validate()
+    problem, x0 = build_problem(_problem_spec(args), args.seed)
     result = run(problem, x0, config, seed=args.seed)
     trace = result.trace
     print(f"{problem.name}: {args.solver} terminated by {trace.termination} "
@@ -150,23 +151,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    check_problem_spec(_problem_spec(args))
-    if args.problem == "logistic":
-        design = logistic_synthetic(args.m or 200, args.n or 20, args.seed)
-        with open(args.out, "w") as fh:
-            write_libsvm(design, fh)
-    elif args.problem == "nmf":
-        A = nmf_synthetic(args.n or 200, args.r or 5, args.m or 300, args.seed)
-        np.savetxt(args.out, A, fmt="%.17g", delimiter=",")
-    elif args.problem == "mc":
-        obs = mc_synthetic(args.p or 15, args.q or 12, args.r or 3,
-                           args.nobs or 60, 0.0, args.seed)
-        with open(args.out, "w") as fh:
-            fh.write("i,j,s\n")
-            for i, j, s in zip(obs.i, obs.j, obs.s):
-                fh.write(f"{i},{j},{format(s, '.17g')}\n")
-    else:
-        raise UsageError(f"gen does not support problem {args.problem!r}")
+    design = logistic_synthetic(args.m, args.n, args.seed)
+    with open(args.out, "w") as fh:
+        write_libsvm(design, fh)
     print(f"dataset written to {args.out}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -215,10 +216,11 @@ def write_libsvm(design: SparseDesign, stream) -> None:
 # ---------------------------------------------------------------------------
 # Trace persistence
 
-#: The persisted trace columns: (column, IterationRecord field, type).
+#: The persisted trace columns: (column, IterationRecord field, type), in the
+#: record's field order, so that the reader builds records from the columns
+#: positionally.
 TRACE_SCHEMA = (
     ("k", "k", int),
-    ("elapsed_s", "elapsed_seconds", float),
     ("f", "f_value", float),
     ("F", "F_value", float),
     ("gradmap_norm", "gradmap_norm", float),
@@ -226,24 +228,38 @@ TRACE_SCHEMA = (
     ("L_k", "L_k", float),
     ("l_k", "l_k", float),
     ("rho", "rho_used", float),
+    ("elapsed_s", "elapsed_seconds", float),
     ("n_value", "n_value", int),
     ("n_grad", "n_gradient", int),
     ("n_prox", "n_prox", int),
 )
+
+#: The layout of a trace file, written as its metadata "version".
+TRACE_VERSION = 2
+
+#: The strings that stand for the infinities in a float column.
+_INFINITIES = {"inf": math.inf, "-inf": -math.inf}
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _json_value(v):
-    # RFC 8259 has no NaN or infinity; they travel as null
-    return v if isinstance(v, int) or math.isfinite(v) else None
+def _json_float(v: float):
+    """A float's JSON value. RFC 8259 has no NaN or infinity: NaN is written
+    as null and ±inf as "inf"/"-inf"."""
+    if math.isfinite(v):
+        return v
+    return None if math.isnan(v) else ("inf" if v > 0 else "-inf")
 
 
 def write_trace(trace: Trace, fmt: str, path: str) -> None:
-    """Persist a trace as strict JSON (non-finite values as null) with a
-    run-metadata object. ``fmt`` must be "json"."""
+    """Persist a trace as one strict JSON object: the run metadata and one
+    array per TRACE_SCHEMA column, k = 0 first. ``fmt`` must be "json".
+
+    Each column is gathered from the records and encoded by its own
+    json.dumps call, which bounds the writer's memory at one column's
+    encoding; one call for the whole file would hold all of them at once."""
     if fmt != "json":
         raise UsageError(f"unknown trace format {fmt!r}")
     metadata = {
@@ -252,22 +268,25 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
         "problem": trace.problem_name,
         "termination": trace.termination,
         "lambda0": trace.lambda0,
+        "version": TRACE_VERSION,
     }
-    # one encoder call per record keeps memory flat in the trace length
+    records = trace.all_records()
     with open(path, "w") as fh:
-        fh.write('{"metadata": ' + json.dumps(metadata, allow_nan=False)
-                 + ', "records": [')
+        fh.write('{"metadata": ' + json.dumps(metadata, allow_nan=False) + ', "columns": {')
         sep = "\n"
-        for r in trace.all_records():
-            fh.write(sep + json.dumps({c: _json_value(getattr(r, f))
-                                       for c, f, _ in TRACE_SCHEMA},
-                                      allow_nan=False))
+        for c, f, t in TRACE_SCHEMA:
+            values = list(map(attrgetter(f), records))
+            # a finite sum means every value is finite
+            if t is float and not math.isfinite(sum(values)):
+                values = list(map(_json_float, values))
+            fh.write(f'{sep}"{c}": ' + json.dumps(values, allow_nan=False))
             sep = ",\n"
-        fh.write("\n]}\n")
+        fh.write("\n}}\n")
 
 
 #: The trace metadata: (key, test of its JSON value, what the test asks).
 _METADATA = (
+    ("version", lambda v: type(v) is int and v == TRACE_VERSION, f"{TRACE_VERSION}"),
     ("solver", lambda v: v in ENGINES, f"one of {ENGINES}"),
     ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
     ("problem", lambda v: type(v) is str, "a string"),
@@ -280,27 +299,35 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not RFC 8259 JSON")
 
 
-def _json_record(d) -> IterationRecord:
-    """A JSON trace record: each value a JSON number of its column's type; null,
-    read as NaN, only in a float column."""
-    values = {}
-    for c, f, t in TRACE_SCHEMA:
-        v = d[c]
-        if type(v) is not t:
-            if t is float and v is None:
-                v = math.nan
-            elif t is float and type(v) is int:
-                v = float(v)
-            else:
-                raise ValueError(f"column {c!r} holds {v!r}, not a JSON "
-                                 + ("integer" if t is int else "number"))
-        values[f] = v
-    return IterationRecord(**values)
+def _column_value(name: str, v, t):
+    """One value of a column of type ``t``: in a float column an integer reads
+    as a float, null as NaN and "inf"/"-inf" as ±inf; nothing else is coerced."""
+    if type(v) is t:
+        return v
+    if t is float:
+        if v is None:
+            return math.nan
+        if type(v) is int:
+            return float(v)
+        if type(v) is str and v in _INFINITIES:
+            return _INFINITIES[v]
+    raise ValueError(f"column {name!r} holds {v!r}, not "
+                     + ("a JSON integer" if t is int else 'a JSON number, null, "inf" or "-inf"'))
+
+
+def _read_column(name: str, values, t) -> list:
+    """A column's JSON array as a list of values of type ``t``."""
+    if type(values) is not list:
+        raise ValueError(f"column {name!r} is not an array")
+    if set(map(type, values)) <= {t}:
+        return values
+    return [_column_value(name, v, t) for v in values]
 
 
 def read_trace(path: str) -> Trace:
     """Load a JSON trace. A file that is not such a trace, with every metadata
-    key present and of its type, is a UsageError naming it."""
+    key present and of its type and every column an array of its type, all of
+    one length, is a UsageError naming it."""
     try:
         with open(path) as fh:
             payload = json.load(fh, parse_constant=_reject_constant)
@@ -308,16 +335,21 @@ def read_trace(path: str) -> Trace:
         for key, ok, what in _METADATA:
             if not ok(meta[key]):
                 raise ValueError(f"metadata {key!r} holds {meta[key]!r}, not {what}")
-        recs = [_json_record(d) for d in payload["records"]]
-        if not recs or recs[0].k != 0:
+        columns = payload["columns"]
+        cols = [_read_column(c, columns[c], t) for c, _, t in TRACE_SCHEMA]
+        if len(set(map(len, cols))) > 1:
+            raise ValueError("columns of unequal length: " + ", ".join(
+                f"{c} {len(v)}" for (c, _, _), v in zip(TRACE_SCHEMA, cols)))
+        if not cols[0] or cols[0][0] != 0:
             raise ValueError("no k=0 record")
+        init, *records = map(IterationRecord, *cols)
         return Trace(problem_name=meta["problem"], engine=meta["solver"],
-                     lambda0=float(meta["lambda0"]), init=recs[0],
-                     records=recs[1:], termination=meta["termination"],
+                     lambda0=float(meta["lambda0"]), init=init,
+                     records=records, termination=meta["termination"],
                      seed=meta["seed"])
     except KeyError as exc:
         raise UsageError(f"trace {path} lacks {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed trace {path}: {exc}") from None
 
 
@@ -547,12 +579,12 @@ def run_experiment(config: ExperimentConfig):
 
 
 def write_summary(rows: List[ComparisonRow], fhat: float, path: str) -> None:
-    """Strict JSON: the non-finite figures of failed cells are written as null."""
+    """Strict JSON: the NaN figures of failed cells are written as null."""
     payload = {
-        "fstar_hat": _json_value(fhat),
+        "fstar_hat": _json_float(fhat),
         "rows": [
             {"solver": r.solver, "seed": r.seed, "iterations": r.iterations,
-             "grad_res": _json_value(r.grad_res), "opt_gap": _json_value(r.opt_gap),
+             "grad_res": _json_float(r.grad_res), "opt_gap": _json_float(r.opt_gap),
              "wall_seconds": r.wall_seconds, "termination": r.termination,
              "error": r.error, "error_type": r.error_type}
             for r in rows

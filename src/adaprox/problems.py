@@ -197,6 +197,8 @@ def logistic_gamma(design: SparseDesign, large: bool = False) -> float:
 
 def logistic_synthetic(m: int, n: int, seed: int) -> SparseDesign:
     """Dense standard-normal design with labels drawn from a planted model."""
+    if min(m, n) < 1:
+        raise UsageError("dimensions must be positive")
     gen = rng(seed)
     A = gen.standard_normal((m, n))
     x_true = gen.standard_normal(n)

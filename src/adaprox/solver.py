@@ -55,6 +55,9 @@ class SolverConfig:
     def validate(self) -> None:
         if self.engine not in ENGINES:
             raise UsageError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
+        if self.monitor and self.engine not in MONITORED_ENGINES:
+            raise UsageError(
+                f"monitor covers engines {MONITORED_ENGINES}, got {self.engine!r}")
         if not 0.0 < self.lambda0 < math.inf:
             raise UsageError("lambda0 must be positive and finite")
         if self.max_iters < 0:

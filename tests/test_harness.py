@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaprox import RhoSequence, SolverConfig, UsageError, monitor_check, run
-from adaprox.adaptive import RHO_NAMES
+from adaprox.adaptive import RHO_NAMES, rho_total
 from adaprox.cli import cli_main
 from adaprox.harness import (
     TRACE_SCHEMA,
@@ -27,10 +29,30 @@ from adaprox.harness import (
     write_summary,
     write_trace,
 )
-from adaprox.problems import quadratic_problem, rng
-from adaprox.solver import ENGINES, IterationRecord
+from adaprox.problems import FactorShape, nmf_problem, nmf_synthetic, quadratic_problem, rng
+from adaprox.solver import ENGINES, IterationRecord, Trace
 
 TRACE_COLUMNS = [c for c, _, _ in TRACE_SCHEMA]
+
+#: Floats at the edges of float64: signed zeros, subnormals, the extremes,
+#: the infinities and NaN.
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.max,
+               -sys.float_info.max, math.inf, -math.inf, math.nan]
+
+
+def identical(a, b) -> bool:
+    """Values of one type and equal; floats of one sign too, or both NaN."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float and math.isnan(a):
+        return math.isnan(b)
+    return a == b and (type(a) is not float or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def without_elapsed(blob: bytes) -> bytes:
+    """A trace file's bytes with the elapsed_s array cut out."""
+    start = blob.index(b'"elapsed_s": [')
+    return blob[:start] + blob[blob.index(b"]", start):]
 
 
 class TestLibsvm:
@@ -123,6 +145,32 @@ class TestLibsvm:
         assert x0.shape == (3,) and problem.dim == 3
 
 
+def row_major(payload):
+    """A trace payload in the layout before format version 2: one object per
+    record, and no version."""
+    meta = {k: v for k, v in payload["metadata"].items() if k != "version"}
+    cols = payload["columns"]
+    return {"metadata": meta, "records": [dict(zip(cols, row)) for row in zip(*cols.values())]}
+
+
+def with_layout_fault(payload, case):
+    """The trace payload with the layout fault named by ``case``."""
+    meta, cols = payload["metadata"], payload["columns"]
+    if case == "unequal_length":
+        cols["F"].pop()
+    elif case == "column_not_array":
+        cols["lambda"] = 0.5
+    elif case == "no_version":
+        del meta["version"]
+    elif case.startswith("version="):
+        meta["version"] = json.loads(case[len("version="):])
+    elif case == "row_major":
+        return row_major(payload)
+    else:  # row-major records under version-2 metadata
+        return dict(row_major(payload), metadata=meta)
+    return payload
+
+
 def small_result(max_iters=8, engine="adapgnc", seed=3):
     p = quadratic_problem([0.5, 1.0, 2.0], seed=0)
     cfg = SolverConfig(engine=engine, max_iters=max_iters)
@@ -151,10 +199,10 @@ class TestTracePersistence:
         write_trace(small_result().trace, "json", path)
         with open(path) as fh:
             payload = json.load(fh)
-        del payload["records"][1]["n_value"]
+        del payload["columns"]["n_value"]
         with open(path, "w") as fh:
             json.dump(payload, fh)
-        with pytest.raises(UsageError, match="n_value"):
+        with pytest.raises(UsageError, match="t.json lacks 'n_value'"):
             read_trace(path)
 
     def test_json_round_trip_keeps_metadata(self, tmp_path):
@@ -183,7 +231,7 @@ class TestTracePersistence:
 
         with open(path) as fh:
             payload = json.loads(fh.read(), parse_constant=reject)
-        assert payload["records"][0]["L_k"] is None
+        assert payload["columns"]["L_k"][0] is None
         back = read_trace(path)
         for a, b in zip(res.trace.all_records(), back.all_records()):
             for field in ("L_k", "l_k", "rho_used"):
@@ -224,10 +272,13 @@ class TestTracePersistence:
         assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize("where, key, value", [
-        ("records", "k", 1.7),
-        ("records", "f", True),
-        ("records", "lambda", "0.5"),
-        ("records", "n_grad", None),
+        ("columns", "k", 1.7),
+        ("columns", "f", True),
+        ("columns", "lambda", "0.5"),
+        ("columns", "n_grad", None),
+        ("columns", "F", "Infinity"),
+        ("columns", "n_prox", "inf"),
+        ("columns", "f", 10**400),
         ("metadata", "lambda0", "1.0"),
         ("metadata", "solver", "newton"),
         ("metadata", "solver", None),
@@ -235,7 +286,8 @@ class TestTracePersistence:
         ("metadata", "problem", 3),
         ("metadata", "seed", True),
         ("metadata", "seed", 1.0),
-    ], ids=["float_k", "bool_f", "string_lambda", "null_count", "string_lambda0",
+    ], ids=["float_k", "bool_f", "string_lambda", "null_count", "Infinity_string_F",
+            "inf_string_count", "huge_int_f", "string_lambda0",
             "unknown_solver", "null_solver", "unknown_termination", "number_problem",
             "bool_seed", "float_seed"])
     def test_json_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, where, key, value):
@@ -245,8 +297,10 @@ class TestTracePersistence:
         write_trace(small_result().trace, "json", path)
         with open(path) as fh:
             payload = json.load(fh)
-        target = payload["records"][1] if where == "records" else payload["metadata"]
-        target[key] = value
+        if where == "columns":
+            payload["columns"][key][1] = value
+        else:
+            payload["metadata"][key] = value
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(UsageError, match=f"t.json.*{key}"):
@@ -281,12 +335,82 @@ class TestTracePersistence:
             read_trace(path)
         assert cli_main(["check", path]) == 2
 
+    @pytest.mark.parametrize("case, message", [
+        ("unequal_length", "columns of unequal length"),
+        ("column_not_array", "column 'lambda' is not an array"),
+        ("no_version", "lacks 'version'"),
+        ("version=1", "'version' holds 1, not 2"),
+        ("version=3", "'version' holds 3, not 2"),
+        ("version=2.0", "'version' holds 2.0, not 2"),
+        ("row_major", "lacks 'version'"),
+        ("row_major_version_2", "lacks 'columns'"),
+    ], ids=["unequal_length", "column_not_array", "no_version", "version_1", "version_3",
+            "float_version", "row_major", "row_major_version_2"])
+    def test_json_layout_error_is_usage_error(self, tmp_path, capsys, case, message):
+        """A file that is not one array per column, all of one length, under
+        metadata of format version 2 is refused; no reader takes the
+        row-major layout."""
+        path = str(tmp_path / "t.json")
+        write_trace(small_result().trace, "json", path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(with_layout_fault(payload, case), fh)
+        with pytest.raises(UsageError, match=f"t.json.*{message}"):
+            read_trace(path)
+        assert cli_main(["check", path]) == 2
+        assert "t.json" in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_lossless(self, data):
+        """Every value reads back identical, the non-finite floats included."""
+        floats = st.sampled_from(FLOAT_EDGES) | st.floats()
+        ints = st.integers(-2**63, 2**63 - 1)
+        n = data.draw(st.integers(1, 5))
+        cols = {f: data.draw(st.lists(ints if t is int else floats, min_size=n, max_size=n))
+                for _, f, t in TRACE_SCHEMA}
+        cols["k"][0] = 0
+        init, *records = [IterationRecord(**dict(zip(cols, row))) for row in zip(*cols.values())]
+        trace = Trace(problem_name="p", engine="adapgnc", lambda0=data.draw(floats.filter(
+            math.isfinite)), init=init, records=records, termination="max_iters",
+            seed=data.draw(ints | st.none()))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.json")
+            write_trace(trace, "json", path)
+            back = read_trace(path)
+        for name in ("problem_name", "engine", "lambda0", "termination", "seed"):
+            assert identical(getattr(back, name), getattr(trace, name)), name
+        assert len(back.all_records()) == n
+        for a, b in zip(trace.all_records(), back.all_records()):
+            for _, f, _ in TRACE_SCHEMA:
+                assert identical(getattr(b, f), getattr(a, f)), (a.k, f)
+
+    def test_infinite_F_reads_back_and_replays_as_live(self, tmp_path):
+        """An x0 outside dom h makes F_0 = inf. The replay of the written trace
+        passes and fails the checks the live monitor did."""
+        shape = FactorShape(p=6, q=5, r=2)
+        problem = nmf_problem(nmf_synthetic(6, 2, 5, 0), shape)
+        x0 = np.abs(rng(1).standard_normal(shape.dim))
+        x0[0] = -0.5
+        config = SolverConfig(engine="adapgnc", max_iters=50, monitor=True)
+        live = run(problem, x0, config)
+        assert live.trace.init.F_value == math.inf and live.report.passed
+        path = str(tmp_path / "t.json")
+        write_trace(live.trace, "json", path)
+        back = read_trace(path)
+        assert back.init.F_value == math.inf
+        replay = monitor_check(back, problem, rho_total(config.rho))
+        assert ({c.name: c.passed for c in replay.checks}
+                == {c.name: c.passed for c in live.report.checks})
+        assert cli_main(["check", path]) == 0
+
     def test_json_integer_in_float_column_reads_as_float(self, tmp_path):
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
         with open(path) as fh:
             payload = json.load(fh)
-        payload["records"][1]["f"] = 2
+        payload["columns"]["f"][1] = 2
         with open(path, "w") as fh:
             json.dump(payload, fh)
         back = read_trace(path)
@@ -429,10 +553,8 @@ class TestConfig:
                 continue
             with open(os.path.join(cfg.out_dir, name), "rb") as fh:
                 again = fh.read()
-            # wall-clock columns differ; compare everything else per line
-            for la, lb in zip(blob.split(b"\n"), again.split(b"\n")):
-                ca, cb = la.split(b","), lb.split(b",")
-                assert ca[:1] == cb[:1] and ca[2:] == cb[2:]
+            # the wall-clock column differs; every other byte is the same
+            assert without_elapsed(again) == without_elapsed(blob)
 
     def test_unwritable_out_dir(self, tmp_path):
         blocker = tmp_path / "file"
@@ -518,13 +640,13 @@ class TestCli:
 
     @staticmethod
     def check_corrupted(tmp_path, column, value) -> int:
-        """`adaprox check` on a JSON trace whose k=1 record has one value replaced."""
+        """`adaprox check` on a JSON trace whose k=1 value of one column is replaced."""
         out = str(tmp_path / "trace.json")
         assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
                          "--max-iters", "25", "--out", out]) == 0
         with open(out) as fh:
             payload = json.load(fh)
-        payload["records"][1][column] = value
+        payload["columns"][column][1] = value
         with open(out, "w") as fh:
             json.dump(payload, fh)
         return cli_main(["check", out])
@@ -536,6 +658,19 @@ class TestCli:
     def test_check_nan_observation_exits_3(self, tmp_path, capsys):
         assert self.check_corrupted(tmp_path, "F", None) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_solve_uncovered_engine_with_monitor_exits_2(self, monkeypatch, capsys):
+        """The pair is refused before the problem is built."""
+        import adaprox.cli
+
+        built = []
+        monkeypatch.setattr(adaprox.cli, "build_problem",
+                            lambda spec, seed: built.append(spec) or build_problem(spec, seed))
+        assert cli_main(["solve", "--solver", "gd-ls", "--monitor", "--max-iters", "500"]) == 2
+        assert built == []
+        out = capsys.readouterr()
+        assert "terminated by" not in out.out
+        assert "gd-ls" in out.err
 
     def test_solve_out_then_check(self, tmp_path, capsys):
         out = str(tmp_path / "t.json")
@@ -621,16 +756,27 @@ class TestCli:
                          "--nobs", "20", "--max-iters", "3"]) == 2
         assert "from a 4x4 grid" in capsys.readouterr().err
 
-    def test_gen_mc_reads_p_and_q(self, tmp_path, capsys):
-        out = tmp_path / "mc.csv"
-        assert cli_main(["gen", "--problem", "mc", "--p", "4", "--q", "3",
-                         "--nobs", "12", "--out", str(out)]) == 0
-        i, j, _ = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
-        assert i.size == 12
-        assert 0 <= i.min() and i.max() < 4 and 0 <= j.min() and j.max() < 3
-        # mc reads p and q, as in solve
-        assert cli_main(["gen", "--problem", "mc", "--m", "4", "--out", str(out)]) == 2
-        assert "unknown keys ['m']" in capsys.readouterr().err
+    def test_gen_refuses_mc_and_nmf(self, tmp_path, capsys):
+        """Only the logistic kind reads a data file, so gen writes no other
+        kind, and the refusal names the kind it writes."""
+        out = tmp_path / "d.csv"
+        for argv in (["--problem", "mc", "--p", "4", "--q", "3", "--nobs", "12"],
+                     ["--problem", "mc", "--m", "4"], ["--problem", "nmf"]):
+            assert cli_main(["gen", *argv, "--out", str(out)]) == 2
+            assert "choose from 'logistic'" in capsys.readouterr().err
+        assert not out.exists()
+        # a flag the logistic kind does not read is refused too
+        assert cli_main(["gen", "--problem", "logistic", "--dim", "3", "--out", str(out)]) == 2
+        assert "--dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [["--m", "0"], ["--n", "0"]], ids=["m", "n"])
+    def test_gen_empty_design_exits_2(self, tmp_path, capsys, size):
+        """An empty design is a file solve --data cannot read, so gen refuses it."""
+        out = tmp_path / "d.libsvm"
+        assert cli_main(["gen", *size, "--out", str(out)]) == 2
+        assert "dimensions must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2

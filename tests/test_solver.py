@@ -24,7 +24,7 @@ from adaprox.adaptive import rho_total
 from adaprox.monitor import _check
 from adaprox.prox import Zero
 from adaprox.problems import lasso_problem, lasso_synthetic, quadratic_problem, rng
-from adaprox.solver import MONITORED_ENGINES
+from adaprox.solver import ENGINES, MONITORED_ENGINES
 
 
 def half_sq():
@@ -384,6 +384,17 @@ class TestMonitorIntegration:
                   SolverConfig(engine="fixed", lambda0=0.5, max_iters=3))
         with pytest.raises(UsageError):
             monitor_check(res.trace, p, 0.0)
+
+    @pytest.mark.parametrize("engine", [e for e in ENGINES if e not in MONITORED_ENGINES])
+    def test_uncovered_engine_refused_before_any_oracle_call(self, engine):
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=0)
+        cfg = SolverConfig(engine=engine, max_iters=500, monitor=True)
+        with pytest.raises(UsageError, match=engine):
+            cfg.validate()
+        with pytest.raises(UsageError, match=engine):
+            run(p, np.ones(3), cfg)
+        c = p.counters
+        assert (c.n_value, c.n_gradient, c.n_prox) == (0, 0, 0)
 
     def test_corrupted_trace_flagged(self):
         # rewrite one recorded curvature estimate so the step it certified
