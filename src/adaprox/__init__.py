@@ -21,7 +21,7 @@ from .core import (
     LineSearchFailed,
     NonconvexDetected,
     NumericalDomainError,
-    ProxTerm,
+    ProxKind,
     SmoothOracle,
     UsageError,
     composite_value,
@@ -35,10 +35,6 @@ from .prox import (
     NonnegIndicator,
     Zero,
     gradient_mapping,
-    implied_subgradient,
-    make_prox_term,
-    prox_apply,
-    prox_value,
 )
 from .solver import (
     IterationRecord,

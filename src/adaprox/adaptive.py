@@ -161,14 +161,14 @@ class RhoSequence:
     def __post_init__(self):
         if self.kind not in RHO_NAMES + ("custom",):
             raise UsageError(f"unknown rho kind {self.kind!r}")
-        if self.rho0 < 0.0:
-            raise UsageError("rho0 must be nonnegative")
+        if not 0.0 <= self.rho0 < math.inf:
+            raise UsageError(f"rho0 must be nonnegative and finite, got {self.rho0}")
         if self.kind == "custom":
             if self.table is None:
                 raise UsageError("custom rho sequence needs a table")
             tab = tuple(float(v) for v in self.table)
-            if any(v < 0.0 for v in tab):
-                raise UsageError("rho values must be nonnegative")
+            if not all(0.0 <= v < math.inf for v in tab):
+                raise UsageError("rho values must be nonnegative and finite")
             object.__setattr__(self, "table", tab)
 
     @staticmethod

@@ -81,12 +81,23 @@ class SmoothOracle:
             self.gradient = lambda x: fused(x)[1]
 
 
-@dataclass
-class ProxTerm:
-    """The convex term h, accessed through its value and exact prox map."""
+class ProxKind:
+    """The convex term h: its value and exact prox map, each in closed form
+    (``_value`` and ``_prox``) in a subclass.
 
-    value: Callable[[Vector], float]
-    prox: Callable[[Vector, float], Vector]
+    The kinds are not frozen: a profiler may replace ``prox`` on an instance
+    with a timed wrapper, as the benchmark's tracer does.
+    """
+
+    def prox(self, x: Vector, t: float) -> Vector:
+        """Exact minimizer of h(y) + ||y - x||^2 / (2t)."""
+        if not t > 0.0:
+            raise UsageError(f"prox step length must be positive, got {t}")
+        return self._prox(as_point(x), t)
+
+    def value(self, x: Vector) -> float:
+        """h(x); +inf outside an indicator's domain."""
+        return self._value(as_point(x))
 
 
 @dataclass
@@ -94,7 +105,7 @@ class CompositeProblem:
     """F = f + h with optional known optimum, plus per-run oracle counters."""
 
     smooth: SmoothOracle
-    nonsmooth: ProxTerm
+    nonsmooth: ProxKind
     known_fstar: Optional[float] = None
     name: str = ""
     dim: Optional[int] = None

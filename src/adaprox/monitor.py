@@ -106,10 +106,13 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
                   known_L: Optional[float] = None) -> MonitorReport:
     """Replay every inequality the trace's engine is supposed to maintain.
 
-    The tolerance at k is 1e-9 * (1 + |F(x_{k-1})|), except for the bounds on
-    lam_k and omega_k: 1e-12 * max(1, bound), or max(1, lam0) for lam_upper.
+    The tolerance at k is 1e-9 * (1 + |F(x_{k-1})|), with two exceptions: the
+    step condition, whose right-hand side is the constant 1, gets 1e-9; the
+    bounds on lam_k and omega_k get 1e-12 * max(1, bound), or max(1, lam0)
+    for lam_upper.
     Only traces of the branch-rule engines are accepted; other engines carry
-    no such guarantees.
+    no such guarantees. A known_L that is not positive and finite, or an
+    fstar that is not finite, is a UsageError.
     """
     if trace.engine not in MONITORED_ENGINES:
         raise UsageError(
@@ -118,6 +121,10 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
         known_L = problem.smooth.known_L
     if fstar is None and problem is not None:
         fstar = problem.known_fstar
+    if known_L is not None and not 0.0 < known_L < math.inf:
+        raise UsageError(f"known_L must be positive and finite, got {known_L}")
+    if fstar is not None and not math.isfinite(fstar):
+        raise UsageError(f"fstar must be finite, got {fstar}")
     have_consts = known_L is not None and rho_total_value is not None
 
     recs, rs, lam0 = trace.records, trace.all_records(), trace.lambda0
@@ -146,7 +153,7 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     L_k, l_k = column(recs, "L_k"), column(recs, "l_k")
     report.checks.append(_check(
         "step_condition", ks, lam_k ** 2 * L_k ** 2 + (lam_k ** 2 / lam_p) * l_k,
-        1.0, tol))
+        1.0, 1e-9))
 
     # (c) two-sided step bounds; needs a certified L and the rho total P.
     if have_consts:

@@ -14,8 +14,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import CompositeProblem, ProxTerm, SmoothOracle, UsageError, Vector, as_point
-from .prox import L1, NonnegIndicator, Zero, make_prox_term
+from .core import CompositeProblem, SmoothOracle, UsageError, Vector, as_point
+from .prox import L1, NonnegIndicator, Zero
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -155,8 +155,7 @@ def lambda_max_ata(A) -> float:
 # Logistic regression
 
 
-def logistic_problem(design: SparseDesign, gamma: float,
-                     penalty: Optional[ProxTerm] = None) -> CompositeProblem:
+def logistic_problem(design: SparseDesign, gamma: float) -> CompositeProblem:
     """Mean binary cross-entropy with an L2-squared ridge of weight gamma.
 
     f(x) = (1/m) sum_i [log(1 + e^{z_i}) - y_i z_i] + (gamma/2) ||x||^2 with
@@ -184,15 +183,13 @@ def logistic_problem(design: SparseDesign, gamma: float,
     known_L = lambda_max_ata(A) / (4.0 * m) + gamma
     smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient,
                           known_L=known_L)
-    h = penalty if penalty is not None else make_prox_term(Zero())
-    return CompositeProblem(smooth=smooth, nonsmooth=h, name="logistic", dim=design.n)
+    return CompositeProblem(smooth=smooth, nonsmooth=Zero(), name="logistic", dim=design.n)
 
 
-def logistic_gamma(design: SparseDesign, large: bool = False) -> float:
-    """Default ridge weight: L_data/m for small datasets, L_data/(10m) for
-    large, with L_data the unregularized smoothness constant."""
-    l_data = lambda_max_ata(design.matrix()) / (4.0 * design.m)
-    return l_data / (10.0 * design.m) if large else l_data / design.m
+def logistic_gamma(design: SparseDesign) -> float:
+    """Default ridge weight L_data/m, with L_data the unregularized
+    smoothness constant."""
+    return lambda_max_ata(design.matrix()) / (4.0 * design.m) / design.m
 
 
 def logistic_synthetic(m: int, n: int, seed: int) -> SparseDesign:
@@ -212,7 +209,7 @@ def logistic_synthetic(m: int, n: int, seed: int) -> SparseDesign:
 
 
 def lasso_problem(A: np.ndarray, b: Vector, l1_weight: float) -> CompositeProblem:
-    """f = 0.5 ||Ax - b||^2 with an L1 penalty; exercises the soft-threshold path."""
+    """f = 0.5 ||Ax - b||^2 and h = l1_weight ||x||_1; exercises the soft-threshold path."""
     A = np.asarray(A, dtype=np.float64)
     b = as_point(b)
     if A.ndim != 2 or A.shape[0] != b.size:
@@ -228,7 +225,7 @@ def lasso_problem(A: np.ndarray, b: Vector, l1_weight: float) -> CompositeProble
 
     smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient,
                           known_L=lambda_max_ata(A))
-    return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(L1(l1_weight)),
+    return CompositeProblem(smooth=smooth, nonsmooth=L1(l1_weight),
                             name="lasso", dim=A.shape[1])
 
 
@@ -267,7 +264,7 @@ def quadratic_problem(eigenvalues: Sequence[float], seed: int = 0) -> CompositeP
     fstar = 0.0 if np.min(e) >= 0.0 else None
     smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient,
                           known_L=float(np.max(np.abs(e))))
-    return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(Zero()),
+    return CompositeProblem(smooth=smooth, nonsmooth=Zero(),
                             known_fstar=fstar, name="quadratic", dim=e.size)
 
 
@@ -295,7 +292,7 @@ def nmf_problem(A: np.ndarray, shape: FactorShape) -> CompositeProblem:
         return 0.5 * float(np.sum(R * R)), shape.join(R @ V, R.T @ U)
 
     smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient)
-    return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(NonnegIndicator()),
+    return CompositeProblem(smooth=smooth, nonsmooth=NonnegIndicator(),
                             name="nmf", dim=shape.dim)
 
 
@@ -344,7 +341,7 @@ def mc_problem(obs: ObservationSet, shape: FactorShape) -> CompositeProblem:
         return v, shape.join(gU, gV)
 
     smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient)
-    return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(Zero()),
+    return CompositeProblem(smooth=smooth, nonsmooth=Zero(),
                             name="matrix_completion", dim=shape.dim)
 
 

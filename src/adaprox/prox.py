@@ -1,5 +1,4 @@
-"""Closed-form proximal operators, the gradient-mapping residual, and the
-subgradient implied by a prox-gradient step."""
+"""The closed-form kinds of h and the gradient-mapping residual."""
 
 from __future__ import annotations
 
@@ -7,17 +6,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, ProxTerm, UsageError, Vector, as_point
+from .core import CompositeProblem, ProxKind, UsageError, Vector, as_point
 
 
-@dataclass(frozen=True)
-class Zero:
+@dataclass
+class Zero(ProxKind):
     """h == 0."""
 
+    def _prox(self, x, t):
+        return x.copy()
 
-@dataclass(frozen=True)
-class L1:
-    """h(x) = weight * ||x||_1."""
+    def _value(self, x):
+        return 0.0
+
+
+@dataclass
+class L1(ProxKind):
+    """h(x) = weight * ||x||_1. Soft-threshold ties (|x_i| equal to the
+    threshold) output 0; the closed form is continuous there."""
 
     weight: float
 
@@ -25,32 +31,51 @@ class L1:
         if not self.weight > 0.0:
             raise UsageError(f"L1 weight must be positive, got {self.weight}")
 
+    def _prox(self, x, t):
+        return np.sign(x) * np.maximum(np.abs(x) - t * self.weight, 0.0)
 
-@dataclass(frozen=True)
-class NonnegIndicator:
+    def _value(self, x):
+        return self.weight * float(np.sum(np.abs(x)))
+
+
+@dataclass
+class NonnegIndicator(ProxKind):
     """Indicator of the nonnegative orthant."""
 
+    def _prox(self, x, t):
+        return np.maximum(x, 0.0)
 
-@dataclass(frozen=True, eq=False)
-class BoxIndicator:
+    def _value(self, x):
+        return 0.0 if np.all(x >= 0.0) else np.inf
+
+
+@dataclass(eq=False)
+class BoxIndicator(ProxKind):
     """Indicator of the box [lo, hi]; a coordinate with lo_i == hi_i is pinned."""
 
     lo: Vector
     hi: Vector
 
     def __post_init__(self):
-        lo = as_point(self.lo)
-        hi = as_point(self.hi)
-        if lo.shape != hi.shape:
+        self.lo = as_point(self.lo)
+        self.hi = as_point(self.hi)
+        if self.lo.shape != self.hi.shape:
             raise UsageError("box bounds must share a shape")
-        if np.any(lo > hi):
+        if np.any(self.lo > self.hi):
             raise UsageError("box requires lo <= hi componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+
+    def _prox(self, x, t):
+        if x.shape != self.lo.shape:
+            raise UsageError("box dimension mismatch")
+        return np.clip(x, self.lo, self.hi)
+
+    def _value(self, x):
+        ok = np.all(x >= self.lo) and np.all(x <= self.hi)
+        return 0.0 if ok else np.inf
 
 
-@dataclass(frozen=True)
-class L2Squared:
+@dataclass
+class L2Squared(ProxKind):
     """h(x) = (weight / 2) * ||x||^2."""
 
     weight: float
@@ -59,57 +84,11 @@ class L2Squared:
         if not self.weight > 0.0:
             raise UsageError(f"L2Squared weight must be positive, got {self.weight}")
 
+    def _prox(self, x, t):
+        return x / (1.0 + t * self.weight)
 
-ProxKind = Zero | L1 | NonnegIndicator | BoxIndicator | L2Squared
-
-
-def prox_apply(kind: ProxKind, x: Vector, t: float) -> Vector:
-    """Exact minimizer of h(y) + ||y - x||^2 / (2t) for the supported kinds.
-
-    Soft-threshold ties (|x_i| equal to the threshold) output 0; the closed
-    form is continuous there.
-    """
-    if not t > 0.0:
-        raise UsageError(f"prox step length must be positive, got {t}")
-    x = as_point(x)
-    if isinstance(kind, Zero):
-        return x.copy()
-    if isinstance(kind, L1):
-        thresh = t * kind.weight
-        return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
-    if isinstance(kind, NonnegIndicator):
-        return np.maximum(x, 0.0)
-    if isinstance(kind, BoxIndicator):
-        if x.shape != kind.lo.shape:
-            raise UsageError("box dimension mismatch")
-        return np.clip(x, kind.lo, kind.hi)
-    if isinstance(kind, L2Squared):
-        return x / (1.0 + t * kind.weight)
-    raise UsageError(f"unsupported prox kind: {kind!r}")
-
-
-def prox_value(kind: ProxKind, x: Vector) -> float:
-    """h(x) for the supported kinds; +inf outside an indicator's domain."""
-    x = as_point(x)
-    if isinstance(kind, Zero):
-        return 0.0
-    if isinstance(kind, L1):
-        return kind.weight * float(np.sum(np.abs(x)))
-    if isinstance(kind, NonnegIndicator):
-        return 0.0 if np.all(x >= 0.0) else np.inf
-    if isinstance(kind, BoxIndicator):
-        ok = np.all(x >= kind.lo) and np.all(x <= kind.hi)
-        return 0.0 if ok else np.inf
-    if isinstance(kind, L2Squared):
-        return 0.5 * kind.weight * float(np.dot(x, x))
-    raise UsageError(f"unsupported prox kind: {kind!r}")
-
-
-def make_prox_term(kind: ProxKind) -> ProxTerm:
-    return ProxTerm(
-        value=lambda x, _k=kind: prox_value(_k, x),
-        prox=lambda x, t, _k=kind: prox_apply(_k, x, t),
-    )
+    def _value(self, x):
+        return 0.5 * self.weight * float(np.dot(x, x))
 
 
 def gradient_mapping(problem: CompositeProblem, x: Vector, eta: float) -> Vector:
@@ -125,14 +104,3 @@ def gradient_mapping(problem: CompositeProblem, x: Vector, eta: float) -> Vector
     g = problem.smooth.gradient(x)
     y = problem.nonsmooth.prox(x - eta * g, eta)
     return (x - y) / eta
-
-
-def implied_subgradient(x_k: Vector, x_next: Vector, grad_k: Vector, lambda_k: float) -> Vector:
-    """h'(x_next) = (x_k - x_next)/lambda_k - grad_k.
-
-    Valid subgradient of h at x_next provided x_next was produced by the prox
-    step with the same lambda_k.
-    """
-    if not lambda_k > 0.0:
-        raise UsageError(f"lambda_k must be positive, got {lambda_k}")
-    return (as_point(x_k) - as_point(x_next)) / lambda_k - as_point(grad_k)

@@ -213,6 +213,17 @@ class TestRhoSequences:
     def test_rho_total_rho1_uses_rho2_bound(self):
         assert rho_total(RhoSequence.rho1()) == rho_total(RhoSequence.rho2())
 
+    @pytest.mark.parametrize("make", [
+        lambda: RhoSequence.rho2(rho0=math.nan),
+        lambda: RhoSequence.rho1(rho0=math.inf),
+        lambda: RhoSequence.zero(rho0=math.nan),
+        lambda: RhoSequence.custom([math.nan, 1.0]),
+        lambda: RhoSequence.custom([1.0, math.inf]),
+    ], ids=["rho2-nan", "rho1-inf", "zero-nan", "custom-nan-first", "custom-inf-later"])
+    def test_non_finite_values_rejected_at_build(self, make):
+        with pytest.raises(UsageError, match="finite"):
+            make()
+
     def test_custom_values_verbatim(self):
         seq = RhoSequence.custom([5.0, 1.0])
         assert rho_value(seq, 0) == 5.0

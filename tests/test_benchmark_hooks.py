@@ -45,21 +45,30 @@ def test_tracer_installs_and_uninstalls():
 
 def test_traced_solve_counts_every_step_rule_call():
     """The tracer wraps the step rules in the solver's namespace; a solver
-    that bound them at import would run them unseen and count zero calls."""
-    tracer = load_tracing().Tracer()
-    tracer.install()
-    try:
-        tracer.begin_job()
-        problem = problems.quadratic_problem([0.5, 1.0, 2.0], seed=1)
-        result = solver.run(problem, np.ones(3), solver.SolverConfig(max_iters=20))
-        tracer.end_job()
-    finally:
-        tracer.uninstall()
-    job = tracer.jobs[0]
-    iters = len(result.trace.records)
-    assert iters >= 5 and job["solver.iters"] == iters
-    for name in ("adaptive.curvature", "adaptive.step_rule", "adaptive.rho"):
-        assert job[name + ".calls"] == iters, name
+    that bound them at import would run them unseen and count zero calls.
+    It also replaces ``prox`` on each built problem's h (a ``Zero`` and a
+    ``NonnegIndicator`` here), which must count every prox step."""
+    shape = problems.FactorShape(p=4, q=3, r=2)
+    builds = [
+        (lambda: problems.quadratic_problem([0.5, 1.0, 2.0], seed=1), np.ones(3)),
+        (lambda: problems.nmf_problem(np.ones((4, 3)), shape), np.full(shape.dim, 0.5)),
+    ]
+    for build, x0 in builds:
+        tracer = load_tracing().Tracer()
+        tracer.install()
+        try:
+            tracer.begin_job()
+            problem = build()
+            result = solver.run(problem, x0, solver.SolverConfig(max_iters=20))
+            tracer.end_job()
+        finally:
+            tracer.uninstall()
+        job = tracer.jobs[0]
+        iters = len(result.trace.records)
+        assert iters >= 5 and job["solver.iters"] == iters, problem.name
+        for name in ("adaptive.curvature", "adaptive.step_rule", "adaptive.rho"):
+            assert job[name + ".calls"] == iters, (problem.name, name)
+        assert job["core.prox.calls"] == result.trace.records[-1].n_prox, problem.name
 
 
 def test_monitored_nmf_run_passes_benchmark_check():

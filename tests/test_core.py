@@ -8,7 +8,6 @@ from adaprox import (
     UsageError,
     composite_value,
     finite_difference_gradient,
-    make_prox_term,
 )
 from adaprox.prox import L1, NonnegIndicator, Zero
 from adaprox.problems import logistic_problem, logistic_synthetic
@@ -16,7 +15,7 @@ from adaprox.problems import logistic_problem, logistic_synthetic
 
 def half_sq_problem():
     smooth = SmoothOracle(value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x)
-    return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(Zero()))
+    return CompositeProblem(smooth=smooth, nonsmooth=Zero())
 
 
 def test_composite_value_quadratic():
@@ -26,13 +25,13 @@ def test_composite_value_quadratic():
 
 def test_composite_value_l1():
     smooth = SmoothOracle(value=lambda x: 0.0, gradient=lambda x: np.zeros_like(x))
-    p = CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(L1(1.0)))
+    p = CompositeProblem(smooth=smooth, nonsmooth=L1(1.0))
     assert composite_value(p, np.array([-1.0, 2.0])) == 3.0
 
 
 def test_composite_value_infeasible_indicator():
     smooth = SmoothOracle(value=lambda x: 0.0, gradient=lambda x: np.zeros_like(x))
-    p = CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(NonnegIndicator()))
+    p = CompositeProblem(smooth=smooth, nonsmooth=NonnegIndicator())
     assert composite_value(p, np.array([-1.0, 0.0])) == np.inf
 
 
@@ -45,7 +44,7 @@ def test_composite_value_dimension_mismatch():
 
 def test_composite_value_nonfinite_rejected():
     smooth = SmoothOracle(value=lambda x: float("nan"), gradient=lambda x: x)
-    p = CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(Zero()))
+    p = CompositeProblem(smooth=smooth, nonsmooth=Zero())
     with pytest.raises(NumericalDomainError):
         composite_value(p, np.array([1.0]))
 
@@ -100,15 +99,13 @@ def test_counters_audit_against_wrapper():
         calls["g"] += 1
         return x
 
-    def prox(x, t):
-        calls["p"] += 1
-        return x.copy()
-
-    from adaprox import ProxTerm
+    class CountingZero(Zero):
+        def _prox(self, x, t):
+            calls["p"] += 1
+            return super()._prox(x, t)
 
     problem = CompositeProblem(
-        smooth=SmoothOracle(value=value, gradient=gradient),
-        nonsmooth=ProxTerm(value=lambda x: 0.0, prox=prox))
+        smooth=SmoothOracle(value=value, gradient=gradient), nonsmooth=CountingZero())
     x = np.ones(4)
     problem.f_value(x)
     problem.f_value_gradient(x)

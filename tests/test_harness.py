@@ -659,6 +659,20 @@ class TestCli:
         assert self.check_corrupted(tmp_path, "F", None) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--known-L", "0"], ["--known-L", "-1"], ["--known-L", "nan"], ["--known-L", "inf"],
+        ["--fstar", "nan"], ["--fstar", "inf"],
+    ], ids=["L-zero", "L-negative", "L-nan", "L-inf", "fstar-nan", "fstar-inf"])
+    def test_check_bad_constant_exits_2(self, tmp_path, capsys, flags):
+        out = str(tmp_path / "trace.json")
+        assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
+                         "--max-iters", "25", "--out", out]) == 0
+        capsys.readouterr()
+        assert cli_main(["check", out, "--rho", "rho2"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags[0][2:].replace("-", "_") in captured.err
+
     def test_solve_uncovered_engine_with_monitor_exits_2(self, monkeypatch, capsys):
         """The pair is refused before the problem is built."""
         import adaprox.cli

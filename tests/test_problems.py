@@ -201,7 +201,6 @@ class TestLogistic:
         d = logistic_synthetic(8, 3, seed=1)
         l_data = lambda_max_ata(d.matrix()) / (4.0 * d.m)
         assert logistic_gamma(d) == pytest.approx(l_data / d.m)
-        assert logistic_gamma(d, large=True) == pytest.approx(l_data / (10.0 * d.m))
 
 
 class TestLasso:

@@ -16,21 +16,28 @@ from adaprox import (
     SolverConfig,
     UsageError,
     ergodic_average,
-    make_prox_term,
     monitor_check,
     run,
 )
 from adaprox.adaptive import rho_total
 from adaprox.monitor import _check
 from adaprox.prox import Zero
-from adaprox.problems import lasso_problem, lasso_synthetic, quadratic_problem, rng
+from adaprox.problems import (
+    FactorShape,
+    lasso_problem,
+    lasso_synthetic,
+    nmf_problem,
+    nmf_synthetic,
+    quadratic_problem,
+    rng,
+)
 from adaprox.solver import ENGINES, MONITORED_ENGINES
 
 
 def half_sq():
     smooth = SmoothOracle(value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x,
                           known_L=1.0)
-    return CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(Zero()),
+    return CompositeProblem(smooth=smooth, nonsmooth=Zero(),
                             known_fstar=0.0, name="half_sq")
 
 
@@ -266,7 +273,7 @@ class TestTermination:
         a = 1e-20
         smooth = SmoothOracle(value=lambda x: 0.5 * float((x - a) @ (x - a)),
                               gradient=lambda x: x - a)
-        p = CompositeProblem(smooth=smooth, nonsmooth=make_prox_term(Zero()))
+        p = CompositeProblem(smooth=smooth, nonsmooth=Zero())
         res = run(p, np.array([0.0]), SolverConfig(max_iters=10))
         assert res.trace.termination == "stagnation"
         assert res.trace.records == []  # stalled before the first full step
@@ -282,7 +289,7 @@ class TestTermination:
 
         p = CompositeProblem(
             smooth=SmoothOracle(value=slow_value, gradient=lambda x: x),
-            nonsmooth=make_prox_term(Zero()))
+            nonsmooth=Zero())
         cfg = SolverConfig(engine="fixed", lambda0=1e-6, max_iters=10**8,
                            max_seconds=0.05, keep_iterates=True)
         res = run(p, np.array([1.0]), cfg)
@@ -407,6 +414,23 @@ class TestMonitorIntegration:
         assert not rep.check("step_condition").passed
         assert rep.check("step_condition").first_failure[0] == 3
         assert not rep.passed
+
+    def test_step_condition_tolerance_ignores_F(self):
+        """The step condition's right-hand side is 1, so its slack must not
+        grow with F. An x0 outside dom h makes F_0 = inf; a k=1 record whose
+        L_k is 100 times too large must still fail."""
+        shape = FactorShape(p=6, q=5, r=2)
+        p = nmf_problem(nmf_synthetic(6, 2, 5, 0), shape)
+        x0 = np.abs(rng(1).standard_normal(shape.dim))
+        x0[0] = -0.5
+        cfg = SolverConfig(engine="adapgnc", max_iters=50, monitor=True)
+        res = run(p, x0, cfg)
+        assert res.trace.init.F_value == math.inf
+        assert res.report.check("step_condition").passed
+        res.trace.records[0].L_k *= 100.0
+        rep = monitor_check(res.trace, p, rho_total(cfg.rho))
+        assert not rep.check("step_condition").passed
+        assert rep.check("step_condition").first_failure[0] == 1
 
     def test_omega_recursion_agrees_with_product_form(self):
         p = quadratic_problem([0.5, 2.0], seed=9)
