@@ -43,7 +43,7 @@ class CurvaturePair:
 
 def degenerate(nd: float, x_cur: Vector) -> bool:
     """True when nd = ||x_cur - x_prev|| is below the stationarity threshold."""
-    return nd <= DEGENERACY_REL * (1.0 + float(np.linalg.norm(x_cur)))
+    return nd <= DEGENERACY_REL * (1.0 + math.sqrt(x_cur.dot(x_cur)))
 
 
 def estimate_curvature(dx: Vector, nd: float, dg: Vector, grad_cur: Vector,
@@ -53,8 +53,8 @@ def estimate_curvature(dx: Vector, nd: float, dg: Vector, grad_cur: Vector,
 
     L_k = ||dg|| / nd;  l_k = 2 (f_cur - f_prev + <grad_cur, -dx>) / nd^2.
     """
-    L_k = float(np.linalg.norm(dg)) / nd
-    inner = float(np.dot(grad_cur, -dx))
+    L_k = math.sqrt(dg.dot(dg)) / nd
+    inner = -float(grad_cur.dot(dx))
     num = f_cur - f_prev + inner
     cancel_scale = abs(f_cur) + abs(f_prev) + abs(inner)
     if abs(num) < L_NUMERATOR_SNAP * cancel_scale:

@@ -135,8 +135,6 @@ class CompositeProblem:
         return float(self.nonsmooth.value(x))
 
     def prox_step(self, x: Vector, t: float) -> Vector:
-        if t <= 0.0:
-            raise UsageError(f"prox step length must be positive, got {t}")
         self.counters.n_prox += 1
         return self.nonsmooth.prox(x, t)
 

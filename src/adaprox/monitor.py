@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -100,6 +101,53 @@ def _safe_exp(z: float) -> float:
     return math.inf if z > 700.0 else math.exp(z)
 
 
+def monitor_constants(problem: Optional[CompositeProblem] = None, *,
+                      fstar: Optional[float] = None,
+                      known_L: Optional[float] = None) -> Tuple[Optional[float], Optional[float]]:
+    """(known_L, fstar) for the checks: each as given, else the problem's.
+    A known_L that is not positive and finite, or an fstar that is not
+    finite, is a UsageError."""
+    if known_L is None and problem is not None:
+        known_L = problem.smooth.known_L
+    if fstar is None and problem is not None:
+        fstar = problem.known_fstar
+    if known_L is not None and not 0.0 < known_L < math.inf:
+        raise UsageError(f"known_L must be positive and finite, got {known_L}")
+    if fstar is not None and not math.isfinite(fstar):
+        raise UsageError(f"fstar must be finite, got {fstar}")
+    return known_L, fstar
+
+
+def lyapunov_weights(trace: Trace) -> np.ndarray:
+    """omega_0 = 1 and omega_k = omega_{k-1} lam_k^2 / (lam_{k-1}^2 (1 + rho_{k-1})
+    sqrt(1 + rho_{k-2})), with lam_0 = trace.lambda0, rho_{k-1} the rho_used
+    of record k and rho_{-1} = 0. By the recursion: the product form
+    over/underflows, and a cumprod rounds differently.
+
+    The recursion runs on the records' Python floats. Where IEEE arithmetic
+    overflows or divides by zero, Python floats raise instead; that step is
+    then taken in NumPy scalars, which give the IEEE inf or NaN (with NumPy's
+    warning)."""
+    omega = np.empty(len(trace.records) + 1)
+    om = omega[0] = 1.0
+    lam_p, rho_p = float(trace.lambda0), 0.0
+    for k, r in enumerate(trace.records, 1):
+        lam_k, rho_k = r.lam, r.rho_used
+        try:
+            om = _omega_step(om, lam_k, lam_p, rho_k, rho_p)
+        except ArithmeticError:
+            om = float(_omega_step(np.float64(om), np.float64(lam_k), np.float64(lam_p),
+                                   rho_k, rho_p))
+        omega[k] = om
+        lam_p, rho_p = lam_k, rho_k
+    return omega
+
+
+def _omega_step(om, lam_k, lam_p, rho_k, rho_p):
+    """omega_k from omega_{k-1}, for Python floats and NumPy scalars alike."""
+    return om * lam_k ** 2 / (lam_p ** 2 * (1.0 + rho_k) * math.sqrt(1.0 + rho_p))
+
+
 def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
                   rho_total_value: Optional[float] = None, *,
                   fstar: Optional[float] = None,
@@ -117,21 +165,14 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     if trace.engine not in MONITORED_ENGINES:
         raise UsageError(
             f"monitor covers engines {MONITORED_ENGINES}, got {trace.engine!r}")
-    if known_L is None and problem is not None:
-        known_L = problem.smooth.known_L
-    if fstar is None and problem is not None:
-        fstar = problem.known_fstar
-    if known_L is not None and not 0.0 < known_L < math.inf:
-        raise UsageError(f"known_L must be positive and finite, got {known_L}")
-    if fstar is not None and not math.isfinite(fstar):
-        raise UsageError(f"fstar must be finite, got {fstar}")
+    known_L, fstar = monitor_constants(problem, known_L=known_L, fstar=fstar)
     have_consts = known_L is not None and rho_total_value is not None
 
     recs, rs, lam0 = trace.records, trace.all_records(), trace.lambda0
     K = len(recs)
 
     def column(records, name):
-        return np.fromiter((getattr(r, name) for r in records), float, len(records))
+        return np.fromiter(map(attrgetter(name), records), float, len(records))
 
     # Columns over k = 0..K, then their k-1 and k views over k = 1..K.
     lam, F, G = column(rs, "lam"), column(rs, "F_value"), column(rs, "gradmap_norm")
@@ -169,13 +210,8 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     else:
         report.skipped.append("step_bounds")
 
-    # (d) Lyapunov weights by the recursion (the product form over/underflows).
-    # rho[k] = rho_{k-1}, the value consumed by lambda_k; rho_{-1} = 0.
-    rho = np.concatenate(([0.0], column(recs, "rho_used")))
-    omega = np.ones(K + 1)
-    for k in range(1, K + 1):
-        omega[k] = omega[k - 1] * lam[k] ** 2 / (
-            lam[k - 1] ** 2 * (1.0 + rho[k]) * math.sqrt(1.0 + rho[k - 1]))
+    # (d) Lyapunov weights.
+    omega = lyapunov_weights(trace)
     if have_consts:
         om = report.omega_lower = (lo ** 2 / lam0 ** 2) * _safe_exp(
             -1.5 * rho_total_value)

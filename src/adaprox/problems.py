@@ -281,15 +281,24 @@ def nmf_problem(A: np.ndarray, shape: FactorShape) -> CompositeProblem:
     if A.shape != (shape.p, shape.q):
         raise UsageError(f"A shape {A.shape} does not match factors {(shape.p, shape.q)}")
 
-    def value(z: Vector) -> float:
+    # R is formed and squared in place: each p x q temporary saved is a large
+    # allocation per oracle call, and the values are the same.
+    def residual(z: Vector):
         U, V = shape.split(z)
-        R = U @ V.T - A
-        return 0.5 * float(np.sum(R * R))
+        R = U @ V.T
+        R -= A
+        return U, V, R
+
+    def value(z: Vector) -> float:
+        R = residual(z)[2]
+        R *= R
+        return 0.5 * float(R.sum())
 
     def value_and_gradient(z: Vector):
-        U, V = shape.split(z)
-        R = U @ V.T - A
-        return 0.5 * float(np.sum(R * R)), shape.join(R @ V, R.T @ U)
+        U, V, R = residual(z)
+        grad = shape.join(R @ V, R.T @ U)
+        R *= R
+        return 0.5 * float(R.sum()), grad
 
     smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient)
     return CompositeProblem(smooth=smooth, nonsmooth=NonnegIndicator(),

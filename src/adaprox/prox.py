@@ -46,7 +46,7 @@ class NonnegIndicator(ProxKind):
         return np.maximum(x, 0.0)
 
     def _value(self, x):
-        return 0.0 if np.all(x >= 0.0) else np.inf
+        return 0.0 if x.min() >= 0.0 else np.inf  # a NaN minimum is not >= 0
 
 
 @dataclass(eq=False)

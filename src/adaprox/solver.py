@@ -133,7 +133,7 @@ def _prox_step_record(problem: CompositeProblem, k: int, x: Vector, f: float,
     dx = x_next - x."""
     x_next = problem.prox_step(x - lam * grad, lam)
     dx = x_next - x
-    nd = float(np.linalg.norm(dx))
+    nd = math.sqrt(dx.dot(dx))  # np.linalg.norm's own formula, without its overhead
     c = problem.counters
     rec = IterationRecord(
         k=k, f_value=f, F_value=f + problem.h_value(x),
@@ -156,15 +156,18 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     With keep_iterates every record carries its x and grad; otherwise only the
     last kept record does. With the monitor on and the problem's known_L and
     known_fstar both set, sum_bound's residuals are streamed into the trace
-    instead."""
+    instead. With the monitor on, a known_L or known_fstar that the monitor
+    refuses is a UsageError before any oracle call."""
     config.validate()
     engine = config.engine
     residuals = None
-    if (config.monitor and problem.smooth.known_L is not None
-            and problem.known_fstar is not None):
-        from .monitor import squared_residual
+    if config.monitor:
+        from .monitor import monitor_constants, squared_residual
 
-        residuals = []
+        # refuse a bad known_L or known_fstar before any oracle call
+        known_L, fstar = monitor_constants(problem)
+        if known_L is not None and fstar is not None:
+            residuals = []
     problem.counters.reset()
     t0 = time.perf_counter()
 
@@ -179,7 +182,7 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
                                             math.nan, 0.0, config.keep_iterates)
     trace = Trace(problem_name=problem.name, engine=engine, lambda0=lam, init=rec,
                   seed=seed)
-    best_F, best_x = rec.F_value, x.copy()
+    best_F, best_x = rec.F_value, x  # no iterate is changed in place; copied once below
     x_rec, grad_rec = x, grad  # the x and grad of the last kept record
     termination = "max_iters"
 
@@ -235,7 +238,7 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         if residuals is not None:
             residuals.append(squared_residual(x_prev, x, lam_prev, grad_prev, grad))
         if rec.F_value < best_F:
-            best_F, best_x = rec.F_value, x.copy()
+            best_F, best_x = rec.F_value, x
 
     last = trace.records[-1] if trace.records else trace.init
     if last.x is None:
@@ -243,7 +246,7 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     if residuals is not None:
         trace.residual_sq = np.array(residuals)
     trace.termination = termination
-    result = RunResult(trace=trace, best=best_x, best_F=best_F, x_final=x)
+    result = RunResult(trace=trace, best=best_x.copy(), best_F=best_F, x_final=x)
     if config.monitor:
         from .adaptive import rho_total
         from .monitor import monitor_check

@@ -269,3 +269,18 @@ def test_bb_term_below_inverse_L_k(data):
     lam = bb_step(1e12, 0.0, dx, dg)  # huge cap exposes the BB term
     L_k = np.linalg.norm(dg) / np.linalg.norm(dx)
     assert lam <= 1.0 / L_k + 1e-12 * (1.0 + 1.0 / L_k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8000), exponent=st.integers(-150, 150),
+       seed=st.integers(0, 2**32 - 1))
+def test_dot_norm_is_linalg_norm_bitwise(n, exponent, seed):
+    """The loop's norms are math.sqrt(v.dot(v)) and its inner product is
+    -g.dot(dx): for 1-D float64 vectors these are np.linalg.norm(v) and
+    np.dot(g, -dx) bit for bit, so traces do not depend on which is used."""
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal(n) * 10.0**exponent
+    g = gen.standard_normal(n)
+    nv = math.sqrt(v.dot(v))
+    assert nv == np.linalg.norm(v) and type(nv) is float
+    assert -float(g.dot(v)) == float(np.dot(g, -v))

@@ -34,6 +34,16 @@ def test_prox_nonneg_projection():
     assert out.tolist() == [0.0, 2.0]
 
 
+@pytest.mark.parametrize("x, expected", [
+    ([1.0, -0.0], 0.0),
+    ([0.0, np.nan], np.inf),
+    ([2.0, -1e-300], np.inf),
+], ids=["minus-zero", "nan", "negative"])
+def test_nonneg_value_closed_form(x, expected):
+    """-0.0 lies in the orthant; a NaN or negative entry does not."""
+    assert NonnegIndicator().value(np.array(x)) == expected
+
+
 def test_prox_l2squared():
     assert L2Squared(2.0).prox(np.array([3.0]), 0.5)[0] == 1.5
 

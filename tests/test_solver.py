@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adaprox import (
@@ -20,7 +20,7 @@ from adaprox import (
     run,
 )
 from adaprox.adaptive import rho_total
-from adaprox.monitor import _check
+from adaprox.monitor import _check, lyapunov_weights
 from adaprox.prox import Zero
 from adaprox.problems import (
     FactorShape,
@@ -31,7 +31,7 @@ from adaprox.problems import (
     quadratic_problem,
     rng,
 )
-from adaprox.solver import ENGINES, MONITORED_ENGINES
+from adaprox.solver import ENGINES, MONITORED_ENGINES, IterationRecord, Trace
 
 
 def half_sq():
@@ -364,6 +364,10 @@ class TestErgodicAverage:
             ergodic_average(res.trace)
 
 
+lam_s = (st.floats(-3.0, 3.0) | st.floats(-170.0, 170.0)).map(lambda e: 10.0**e)
+rho_s = st.sampled_from([0.0, 1e10]) | st.floats(0.0, 1e3)
+
+
 class TestMonitorIntegration:
     def test_clean_run_passes_all_checks(self):
         p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
@@ -400,6 +404,18 @@ class TestMonitorIntegration:
             cfg.validate()
         with pytest.raises(UsageError, match=engine):
             run(p, np.ones(3), cfg)
+        c = p.counters
+        assert (c.n_value, c.n_gradient, c.n_prox) == (0, 0, 0)
+
+    @pytest.mark.parametrize("attr, value", [
+        ("known_L", 0.0), ("known_L", -1.0), ("known_L", math.nan), ("known_L", math.inf),
+        ("known_fstar", math.nan), ("known_fstar", math.inf),
+    ])
+    def test_bad_constant_refused_before_any_oracle_call(self, attr, value):
+        p = quadratic_problem(np.linspace(0.01, 1.0, 20))
+        setattr(p.smooth if attr == "known_L" else p, attr, value)
+        with pytest.raises(UsageError, match="must be"):
+            run(p, np.ones(20), SolverConfig(max_iters=50, monitor=True))
         c = p.counters
         assert (c.n_value, c.n_gradient, c.n_prox) == (0, 0, 0)
 
@@ -448,6 +464,30 @@ class TestMonitorIntegration:
                                     * math.sqrt(1.0 + r_km2))
             assert omega >= res.report.omega_lower * (1 - 1e-12)
         assert res.report.passed
+
+    @settings(max_examples=400, deadline=None)
+    @given(lam0=lam_s, steps=st.lists(st.tuples(lam_s, rho_s), max_size=40))
+    @example(lam0=1.0, steps=[(1.0, 1e10)] * 30)               # underflow to 0
+    @example(lam0=1e-150, steps=[(1e150, 0.0)] * 3)            # overflow to inf
+    @example(lam0=1.0, steps=[(1e160, 0.0), (1.0, 0.0)])       # lam^2 overflows
+    @example(lam0=1e-170, steps=[(1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])  # 0 denominator
+    def test_lyapunov_weights_match_numpy_scalar_loop(self, lam0, steps):
+        """The Python-float recursion equals, bit for bit, the NumPy-scalar
+        loop it replaced (kept here as the reference), through overflow to
+        inf, underflow to 0 and division by zero."""
+        recs = [IterationRecord(k, 0.0, 0.0, 0.0, lam, 0.0, 0.0, rho, 0.0, 0, 0, 0)
+                for k, (lam, rho) in enumerate(steps, 1)]
+        init = IterationRecord(0, 0.0, 0.0, 0.0, lam0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
+        trace = Trace("t", "adapgnc", lam0, init, recs)
+        lam = np.array([lam0] + [s[0] for s in steps])
+        rho = np.array([0.0] + [s[1] for s in steps])
+        with np.errstate(all="ignore"):
+            ref = np.ones(len(steps) + 1)
+            for k in range(1, len(steps) + 1):
+                ref[k] = ref[k - 1] * lam[k] ** 2 / (
+                    lam[k - 1] ** 2 * (1.0 + rho[k]) * math.sqrt(1.0 + rho[k - 1]))
+            omega = lyapunov_weights(trace)
+        assert omega.tobytes() == ref.tobytes()
 
     @given(st.lists(st.tuples(st.floats(-2.0, 2.0) | st.just(math.nan),
                               st.floats(-2.0, 2.0) | st.just(math.inf)),
@@ -502,6 +542,28 @@ class TestMonitorIntegration:
         fstar = res.trace.init.F_value + 0.5 * res.trace.init.gradmap_norm ** 2 + 1.0
         rep = monitor_check(res.trace, p, rho_total(rho), fstar=fstar)
         assert rep.check("complexity_bound").first_failure[0] == 1
+
+
+def test_loop_calls_no_linalg_norm_and_copies_best(monkeypatch):
+    """Monitored runs finish with np.linalg.norm unavailable: the loop takes
+    its norms as math.sqrt(v.dot(v)). The best iterate is kept by reference
+    in the loop and copied once at the end, so it shares no memory with x0
+    or x_final."""
+    def no_norm(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    quad = quadratic_problem(np.geomspace(1e-2, 1.0, 10), seed=5)
+    shape = FactorShape(p=6, q=5, r=2)
+    nmf = nmf_problem(nmf_synthetic(6, 2, 5, 0), shape)
+    # the last case starts at the minimizer, so best stays x_0
+    cases = [(quad, np.ones(10), 60), (nmf, np.abs(rng(1).standard_normal(shape.dim)), 60),
+             (quad, np.zeros(10), 0)]
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    for problem, x0, n_records in cases:
+        res = run(problem, x0, SolverConfig(engine="adapgnc", max_iters=60, monitor=True))
+        assert len(res.trace.records) == n_records and res.report is not None
+        assert not np.shares_memory(res.best, x0)
+        assert not np.shares_memory(res.best, res.x_final)
 
 
 def test_bb_engine_runs_on_convex_quadratic():
