@@ -29,6 +29,7 @@ from .core import (
     Vector,
     as_point,
 )
+from .prox import Zero
 
 ENGINES = ("adapgnc", "adapgnc-relaxed", "adapgnc-bb", "adgd", "fixed", "gd-ls")
 
@@ -157,9 +158,13 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     last kept record does. With the monitor on and the problem's known_L and
     known_fstar both set, sum_bound's residuals are streamed into the trace
     instead. With the monitor on, a known_L or known_fstar that the monitor
-    refuses is a UsageError before any oracle call."""
+    refuses is a UsageError before any oracle call, and so is gd-ls with an h
+    that is not Zero: its Armijo test on f alone says nothing of F = f + h."""
     config.validate()
     engine = config.engine
+    if engine == "gd-ls" and not isinstance(problem.nonsmooth, Zero):
+        raise UsageError("gd-ls backtracks on f alone and needs h = 0, "
+                         f"got {type(problem.nonsmooth).__name__}")
     residuals = None
     if config.monitor:
         from .monitor import monitor_constants, squared_residual

@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from adaprox import harness, monitor, problems, solver
 
@@ -69,6 +70,30 @@ def test_traced_solve_counts_every_step_rule_call():
         for name in ("adaptive.curvature", "adaptive.step_rule", "adaptive.rho"):
             assert job[name + ".calls"] == iters, (problem.name, name)
         assert job["core.prox.calls"] == result.trace.records[-1].n_prox, problem.name
+
+
+def test_logistic_build_makes_two_matrix_and_two_power_iteration_calls():
+    """perfbench reads 2 ``matrix`` and 2 ``lambda_max_ata`` calls per
+    logistic build (``logistic_gamma`` and ``logistic_problem``), whichever
+    form the design is held in; a cache that skips one of them fails here."""
+    g = np.random.default_rng(3)
+    A_sparse = np.where(g.random((30, 8)) < 0.2, g.standard_normal((30, 8)), 0.0)
+    designs = [(np.ndarray, problems.logistic_synthetic(30, 8, seed=1)),
+               (sp.csr_matrix, problems.SparseDesign.from_dense(
+                   A_sparse, (g.random(30) < 0.5).astype(np.float64)))]
+    for kind, design in designs:
+        assert isinstance(problems.logistic_operator(design), kind)
+        tracer = load_tracing().Tracer()
+        tracer.install()
+        try:
+            tracer.begin_job()
+            problems.logistic_problem(design, problems.logistic_gamma(design))
+            tracer.end_job()
+        finally:
+            tracer.uninstall()
+        job = tracer.jobs[0]
+        assert job["problems.matrix.calls"] == 2, kind
+        assert job["problems.lambda_max_ata.calls"] == 2, kind
 
 
 def test_monitored_nmf_run_passes_benchmark_check():

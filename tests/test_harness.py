@@ -686,6 +686,12 @@ class TestCli:
         assert "terminated by" not in out.out
         assert "gd-ls" in out.err
 
+    def test_solve_gd_ls_on_lasso_exits_2(self, capsys):
+        assert cli_main(["solve", "--problem", "lasso", "--solver", "gd-ls"]) == 2
+        out = capsys.readouterr()
+        assert "terminated by" not in out.out
+        assert "gd-ls" in out.err
+
     def test_solve_out_then_check(self, tmp_path, capsys):
         out = str(tmp_path / "t.json")
         assert cli_main(["solve", "--max-iters", "10", "--out", out]) == 0

@@ -1,11 +1,14 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaprox import UsageError, composite_value, finite_difference_gradient
+from adaprox import UsageError, composite_value, finite_difference_gradient, problems
 from adaprox.problems import (
     FactorShape,
     ObservationSet,
@@ -14,6 +17,7 @@ from adaprox.problems import (
     lasso_problem,
     lasso_synthetic,
     logistic_gamma,
+    logistic_operator,
     logistic_problem,
     logistic_synthetic,
     mc_problem,
@@ -201,6 +205,99 @@ class TestLogistic:
         d = logistic_synthetic(8, 3, seed=1)
         l_data = lambda_max_ata(d.matrix()) / (4.0 * d.m)
         assert logistic_gamma(d) == pytest.approx(l_data / d.m)
+
+
+def logistic_reference(A: np.ndarray, y: np.ndarray, gamma: float, x: np.ndarray):
+    """f and grad f of the logistic problem from a dense A, with correctly
+    rounded sums (math.fsum) and the overflow-free forms
+    log(1 + e^z) = max(z, 0) + log1p(e^{-|z|}) and
+    sigma(z) = e^{min(z, 0)} / (1 + e^{-|z|})."""
+    m = A.shape[0]
+    z = np.array([math.fsum(A[i] * x) for i in range(m)])
+    e = np.exp(-np.abs(z))
+    loss = np.maximum(z, 0.0) + np.log1p(e) - y * z
+    r = np.exp(np.minimum(z, 0.0)) / (1.0 + e) - y
+    grad = np.array([math.fsum(A[:, j] * r) for j in range(A.shape[1])]) / m + gamma * x
+    return math.fsum(loss) / m + 0.5 * gamma * math.fsum(x * x), grad
+
+
+@st.composite
+def logistic_cases(draw):
+    """A random m x n design (m, n <= 30) whose share of stored entries falls
+    on either side of 1/2, some rows and columns all zero, with labels, a
+    ridge weight and a point."""
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    fill = draw(st.floats(0.0, 1.0))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.where(g.random((m, n)) < fill, g.uniform(-3.0, 3.0, (m, n)), 0.0)
+    A[g.random(m) < 0.15] = 0.0
+    A[:, g.random(n) < 0.15] = 0.0
+    y = (g.random(m) < 0.5).astype(np.float64)
+    gamma = draw(st.sampled_from([0.0, 0.1, 2.0]))
+    return A, y, gamma, g.uniform(-4.0, 4.0, n)
+
+
+class TestLogisticOperator:
+    @settings(max_examples=150, deadline=None)
+    @given(logistic_cases())
+    def test_storage_rule_and_either_form_match_reference(self, case):
+        """Rounding bound: z_i carries at most about n·eps·s_i of error, with
+        s_i = sum_j |A_ij x_j|; the loss is 1-Lipschitz in z and sigma is
+        1/4-Lipschitz; the mean over m rows adds m·eps of its terms, each at
+        most |z_i| + log 2 <= s_i + 1. So f is within
+        (m + n + 8)·eps·(2 mean s + 1 + gamma ||x||^2) and each grad_j within
+        (m + n + 8)·eps·((1/m) sum_i |A_ij| (1 + s_i) + gamma |x_j| + |grad_j|)
+        of the reference."""
+        A, y, gamma, x = case
+        m, n = A.shape
+        d = SparseDesign.from_dense(A, y)
+        nnz = np.count_nonzero(A)
+        assert isinstance(logistic_operator(d), np.ndarray) == (2 * nnz >= m * n)
+        f_ref, g_ref = logistic_reference(A, y, gamma, x)
+        s = np.abs(A) @ np.abs(x)
+        unit = (m + n + 8) * np.finfo(float).eps
+        f_tol = unit * (2.0 * s.mean() + 1.0 + gamma * float(x @ x))
+        g_tol = unit * (np.abs(A).T @ (1.0 + s) / m + gamma * np.abs(x) + np.abs(g_ref))
+        for fill, kind in ((0.0, np.ndarray), (math.inf, sp.csr_matrix)):
+            with mock.patch.object(problems, "DENSE_FILL", fill):
+                assert isinstance(logistic_operator(d), kind)
+                p = logistic_problem(d, gamma)
+            f, g = p.smooth.value_and_gradient(x)
+            assert p.smooth.value(x) == f
+            assert abs(f - f_ref) <= f_tol, (kind, f, f_ref)
+            assert np.all(np.abs(g - g_ref) <= g_tol), (kind, g - g_ref)
+
+    @pytest.mark.parametrize("stored, dense", [(2, False), (3, True), (4, True)])
+    def test_half_full_design_is_dense(self, stored, dense):
+        A = np.zeros((2, 3))
+        A.flat[:stored] = np.arange(1.0, stored + 1.0)
+        d = SparseDesign.from_dense(A, [1.0, 0.0])
+        op = logistic_operator(d)
+        assert isinstance(op, np.ndarray) == dense
+        assert np.array_equal(op if dense else op.toarray(), A)
+
+    def test_design_matrix_stays_csr(self):
+        d = logistic_synthetic(6, 3, seed=0)
+        assert isinstance(logistic_operator(d), np.ndarray)
+        logistic_problem(d, logistic_gamma(d))
+        assert isinstance(d.matrix(), sp.csr_matrix)
+
+    @pytest.mark.parametrize("A, x", [
+        (np.array([[1.0], [-1.0]]), np.array([1000.0])),
+        (np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), np.array([1000.0, 1000.0, 7.0])),
+    ], ids=["dense", "csr"])
+    def test_margins_of_1000_give_closed_form_without_warning(self, A, x):
+        """z = (1000, -1000) with labels (0, 1): each loss term is 1000 and
+        sigma(z) - y = (1, -1), so f = 1000 + (gamma/2)||x||^2 and
+        grad f = A^T (1, -1) / 2 + gamma x, all exact in floating point."""
+        d = SparseDesign.from_dense(A, [0.0, 1.0])
+        p = logistic_problem(d, gamma=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, g = p.smooth.value_and_gradient(x)
+            assert p.smooth.value(x) == f
+        assert f == 1000.0 + 0.25 * float(x @ x)
+        assert np.array_equal(g, A.T @ np.array([1.0, -1.0]) / 2.0 + 0.5 * x)
 
 
 class TestLasso:

@@ -581,6 +581,17 @@ def test_gd_ls_engine_descends():
     assert all(b <= a + 1e-15 for a, b in zip(Fs, Fs[1:]))
 
 
+def test_gd_ls_refuses_nonzero_h_before_any_oracle_call():
+    """gd-ls backtracks on f alone, which is no sufficient-decrease test on
+    F = f + h once h is not zero, so a lasso problem is refused."""
+    A, b, w = lasso_synthetic(20, 8, seed=2)
+    p = lasso_problem(A, b, w)
+    with pytest.raises(UsageError, match="gd-ls"):
+        run(p, np.ones(8), SolverConfig(engine="gd-ls", max_iters=50))
+    c = p.counters
+    assert (c.n_value, c.n_gradient, c.n_prox) == (0, 0, 0)
+
+
 def test_adgd_engine_converges():
     p = quadratic_problem([0.5, 1.0, 2.0], seed=8)
     res = run(p, np.ones(3), SolverConfig(engine="adgd", lambda0=0.1,
