@@ -109,7 +109,15 @@ def bb_step(lambda_prev: float, rho_used: float, dx: Vector, dg: Vector) -> floa
 
 
 def adgd_step(lambda_prev: float, lambda_prevprev: float, curv: CurvaturePair) -> float:
-    """Baseline ratio-capped rule: min{sqrt(1 + lam_prev/lam_prevprev) lam_prev, 1/(2 L_k)}."""
+    """Baseline ratio-capped rule: min{sqrt(1 + lam_prev/lam_prevprev) lam_prev, 1/(2 L_k)}.
+
+    This is Algorithm 1 of Malitsky & Mishchenko, "Adaptive gradient descent
+    without descent" (ICML 2020), with theta_{k-1} = lam_prev/lam_prevprev and
+    the secant L_k = ||dg||/||dx||, except at the first step. The paper starts
+    from theta_0 = +inf, so lambda_1 = ||dx||/(2 ||dg||) = 1/(2 L_1). The
+    solver's lambda_{-1} = lambda_0 convention gives theta_0 = 1, so
+    lambda_1 = min(sqrt(2) lambda_0, 1/(2 L_1)): the first step grows at most
+    sqrt(2)-fold from lambda0."""
     if not (lambda_prev > 0.0 and lambda_prevprev > 0.0):
         raise UsageError("both previous step sizes must be positive")
     theta = lambda_prev / lambda_prevprev

@@ -77,13 +77,14 @@ def _data_blocks(lines):
     yield linenos, labels, bodies
 
 
-def _colon_positions(b: np.ndarray) -> Optional[np.ndarray]:
-    """Where the ':' of each token sits in the bytes ``b`` of joined bodies
-    ending in whitespace, or None unless every token is `[0-9+-]+:`, then a
-    value free of ':', and tokens are separated by spaces and tabs alone.
+def _colon_positions(b: np.ndarray):
+    """The shape of the tokens in the bytes ``b`` of joined bodies ending in
+    whitespace, as (p, q, k): the positions p and bytes q of the special bytes
+    (all but [0-9+-]) and the places k of the ':' among them. None unless
+    every token is `[0-9+-]+:`, then a value free of ':', and tokens are
+    separated by spaces and tabs alone.
 
-    The shape is checked on the sequence of the bytes that cannot be in an
-    index (all but [0-9+-]); it starts and ends with whitespace. In it,
+    The shape is checked on q; it starts and ends with whitespace. In it,
     whitespace is followed by adjacent whitespace or by a ':' with index
     characters between; a ':' comes right after whitespace, so it ends the
     token's index and no token holds two; and a ':' is not followed by
@@ -100,35 +101,106 @@ def _colon_positions(b: np.ndarray) -> Optional[np.ndarray]:
     if (np.any(ws & ~nxt_ws & ~colon) or np.any(ws & nxt_ws & apart)
             or np.any(colon & ~(ws & apart)) or np.any((q[:-1] == 58) & nxt_ws & ~apart)):
         return None
-    return p[1:][colon]
+    return p, q, np.flatnonzero(colon) + 1
+
+
+#: The most characters of an index or a value that the integer read takes:
+#: 15 digits are below 2**53, so exact in float64, as is 10**f for f <= 15.
+_SHORT_CHARS = 15
+
+_POW10 = np.array([float(10 ** f) for f in range(_SHORT_CHARS + 1)])
+
+_COLON_TO_SPACE = bytes.maketrans(b":", b" ")
+
+
+def _short_decimals(b: np.ndarray, p: np.ndarray, q: np.ndarray, k: np.ndarray):
+    r"""The integer read's plan for a block whose shape _colon_positions gave
+    as (p, q, k): each value's digits after its point and whether it is
+    negative. None unless every index is digits alone, at most _SHORT_CHARS
+    of them, and every value is `[+-]?[0-9]*\.?[0-9]*`, no longer."""
+    point = q[k + 1] == 46
+    ends = k + 1 + point  # the places in p of the whitespace that must end the values
+    if np.any(q[ends] > 32):  # an exponent, a second point or another letter
+        return None
+    # free each per-token array before the next: a sparse text's parse peaks here
+    ends = p[ends]
+    colons = p[k]
+    if (np.any(colons - p[k - 1] > _SHORT_CHARS + 1)
+            or np.any(ends - colons > _SHORT_CHARS + 1)):
+        return None
+    heads = b[colons + 1]
+    neg = heads == 45
+    # every '+' and '-' heads a value, so an index holds none
+    if (np.count_nonzero(neg) + np.count_nonzero(heads == 43)
+            != np.count_nonzero(b == 43) + np.count_nonzero(b == 45)):
+        return None
+    return ends - p[k + 1] - point, neg
+
+
+def _numbers(text: bytes, dtype, size: int) -> Optional[np.ndarray]:
+    """The whitespace-separated numbers of ``text`` as ``dtype``, or None
+    unless it holds ``size`` of them and nothing else."""
+    try:
+        # a bad number stops the read: with an error, or in NumPy 1.x with a
+        # DeprecationWarning and the numbers before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            nums = np.fromstring(text, dtype, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    return nums if nums.size == size else None
+
+
+def _read_float(raw: bytes, size: int):
+    """The general read of ``size`` tokens: every index and value by strtod,
+    as (indices, values), or None if one does not read."""
+    nums = _numbers(raw.replace(b":", b" "), np.float64, 2 * size)
+    if nums is None:
+        return None
+    # fresh values: a view would hold the indices' buffer until the parse ends
+    return nums[0::2], nums[1::2].copy()
+
+
+def _read_short(raw: bytes, places: np.ndarray, neg: np.ndarray):
+    """The integer read, for a block _short_decimals planned: with ':' as a
+    space and points and signs deleted, each token is two integers, the index
+    and the value's digits M, and the value is M / 10**f for its f digits
+    after the point, negated if it was. Clinger's fast path: M < 2**53 and
+    10**f are exact, so one correctly rounded division gives strtod's bits;
+    a sign applied after it keeps "-0.0" as -0.0. None if a value has no
+    digit, for the float read to judge."""
+    ints = _numbers(raw.translate(_COLON_TO_SPACE, b".+-"), np.int64, 2 * places.size)
+    if ints is None:
+        return None
+    val = ints[1::2] / _POW10[places]
+    np.negative(val, out=val, where=neg)
+    return ints[0::2], val
 
 
 def _read_pairs(bodies):
     """The `<idx>:<val>` tokens of these bodies as (tokens per body, index
-    array, value array), or None if one is malformed."""
+    array, value array), or None if one is malformed. A block of short
+    decimals takes the integer read, any other the float read."""
     try:
         raw = "".join([*bodies, " "]).encode("ascii")
     except UnicodeEncodeError:
         return None
-    colons = _colon_positions(np.frombuffer(raw, np.uint8))
-    if colons is None:
+    b = np.frombuffer(raw, np.uint8)
+    shape = _colon_positions(b)
+    if shape is None:
         return None
-    counts = np.diff(np.searchsorted(colons, np.cumsum(np.fromiter(map(len, bodies), np.int64))),
+    p, q, k = shape
+    counts = np.diff(np.searchsorted(p[k], np.cumsum(np.fromiter(map(len, bodies), np.int64))),
                      prepend=0)
-    if not colons.size:
+    if not k.size:
         # fromstring reads a blank string as [-1.0]
         return counts, np.empty(0), np.empty(0)
-    try:
-        # a sign inside an index or a bad value stops the read: with an error,
-        # or in NumPy 1.x with a DeprecationWarning and the numbers before it
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            nums = np.fromstring(raw.replace(b":", b" "), sep=" ")
-    except (ValueError, DeprecationWarning):
-        return None
-    if nums.size != 2 * colons.size:
-        return None
-    return counts, nums[0::2], nums[1::2]
+    plan, size = _short_decimals(b, p, q, k), k.size
+    del shape, p, q, k  # block-sized: not held through the read
+    pairs = None if plan is None else _read_short(raw, *plan)
+    if pairs is None:
+        pairs = _read_float(raw, size)
+    return None if pairs is None else (counts, *pairs)
 
 
 def _malformed_message(body: str) -> str:

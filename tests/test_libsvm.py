@@ -77,6 +77,37 @@ def outcome(parse, source, n=None):
                                     for a in (d.indptr, d.indices, d.data, d.labels))
 
 
+def outcome_with_message(source, n=None):
+    """parse_libsvm's outcome, with a ParseError's message too."""
+    messages = []
+
+    def parse(src, n):
+        try:
+            return parse_libsvm(src, n=n)
+        except ParseError as exc:
+            messages.append(str(exc))
+            raise
+
+    return outcome(parse, source, n) + tuple(messages)
+
+
+def outcomes_by_read(text, n=None):
+    """The parse of ``text``, whether each call of its integer read answered,
+    and the parse with the integer read switched off, each with its message."""
+    answered, read_short = [], harness._read_short
+
+    def spy(*args):
+        pairs = read_short(*args)
+        answered.append(pairs is not None)
+        return pairs
+
+    with mock.patch.object(harness, "_read_short", spy):
+        fast = outcome_with_message(text, n)
+    with mock.patch.object(harness, "_short_decimals", lambda *args: None):
+        general = outcome_with_message(text, n)
+    return fast, answered, general
+
+
 def sources(text):
     """The same text as a str, an open file and a list of lines."""
     return [text, io.StringIO(text, newline=None), text.splitlines(keepends=True)]
@@ -90,12 +121,35 @@ _EDGE_VALUES = [5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308
                 0.1, 1e22, 9007199254740993.0]
 values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from(_EDGE_VALUES)).map(lambda v: format(v, ".17g"))
+
+
+@st.composite
+def boundary_decimals(draw):
+    """Decimals of 14 to 17 characters, around the integer read's limit of
+    15: an optional sign, digits and perhaps a point."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    point = draw(st.booleans())
+    width = draw(st.integers(14, 17)) - len(sign) - point
+    digits = draw(st.text("0123456789", min_size=width, max_size=width))
+    at = draw(st.integers(0, width)) if point else width
+    return sign + digits[:at] + "." * point + digits[at:]
+
+
+# decimals without an exponent, most short enough for the integer read
+short_values = st.one_of(
+    st.tuples(st.floats(-1e6, 1e6), st.integers(0, 15)).map(lambda t: format(t[0], f".{t[1]}f")),
+    boundary_decimals(),
+    st.sampled_from(["-0.0000", "0.0000", "-0", "+0", "007", "-007.50", "0000.1000", "+.5", "5.",
+                     "-.25", "999999999999999", "-99999999999999", "9999999999999999",
+                     "0.0000000000001", "-.00000000000001", "123456789012345."]))
 # other spellings both parsers read as the same number
-value_spellings = st.one_of(values, st.sampled_from(["+.5", "5.", "1E3", "-0", "007", "1e-400",
-                                                     "+1e+5", "0.000", "-.25e-3"]))
+value_spellings = st.one_of(values, short_values,
+                            st.sampled_from(["+.5", "5.", "1E3", "-0", "007", "1e-400",
+                                             "+1e+5", "0.000", "-.25e-3"]))
 separators = st.sampled_from([" ", "\t", "  ", " \t "])
 MUTATIONS = ("label", "index", "repeat", "decrease", "nonfinite", "token", "none")
-BAD_TOKENS = ["3", "3:", ":5", "3:4:5", "3.0:1", "a:1", "3:x"]
+BAD_TOKENS = ["3", "3:", ":5", "3:4:5", "3.0:1", "a:1", "3:x",
+              "3:1.5.3", "3:.", "3:-", "3:+.", "3:1-2", "3:1.-2", "3:1e"]
 
 
 @st.composite
@@ -103,7 +157,7 @@ def rows(draw):
     cols = sorted(draw(st.sets(st.integers(1, 40), max_size=8)))
     tokens = []
     for j in cols:
-        idx = draw(st.sampled_from([str(j), str(j), f"+{j}", f"0{j}"]))
+        idx = draw(st.sampled_from([str(j), str(j), f"+{j}", f"0{j}", f"{j:015d}", f"{j:016d}"]))
         tokens.append(f"{idx}:{draw(value_spellings)}")
     return [draw(st.sampled_from(sorted(_LABEL_MAP))), tokens]
 
@@ -155,6 +209,35 @@ def test_array_parser_agrees_with_token_loop(case):
     # the same with a block boundary every line or two
     with mock.patch.object(harness, "_BLOCK_CHARS", 24):
         assert outcome(parse_libsvm, text, n) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=texts())
+def test_integer_read_agrees_with_float_read(case):
+    """Whatever the integer read answers, the float read answers too, with
+    byte-equal arrays (so -0.0 counts) and the same error line and message."""
+    text, n = case
+    fast, _, general = outcomes_by_read(text, n)
+    assert fast == general
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(sorted(_LABEL_MAP)),
+                                st.lists(short_values, max_size=6)),
+                      min_size=1, max_size=6),
+       wide=st.booleans())
+def test_integer_read_answers_short_decimals(lines, wide):
+    """A block of short decimals is read by the integer read alone, with the
+    float read's bytes; a value or index past 15 characters leaves the block
+    to the float read."""
+    pad = "0" * 15 if wide else ""
+    text = "\n".join(" ".join([label] + [f"{pad}{j + 1}:{v}" for j, v in enumerate(values)])
+                     for label, values in lines)
+    fast, answered, general = outcomes_by_read(text)
+    assert fast == general == outcome(reference_parse_libsvm, text)
+    tokens = [t for _, values in lines for t in values]
+    if tokens:
+        assert answered == ([True] if not wide and max(map(len, tokens)) <= 15 else [])
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,9 +325,65 @@ def test_deliberate_grammar_differences(source):
     assert outcome(parse_libsvm, source) == ("ParseError", 1)
 
 
+@pytest.mark.parametrize("text, n, message", [
+    ("1 -0:1", None, "index must be >= 1 (entry -0:1.0)"),
+    ("1 0:1", None, "index must be >= 1 (entry 0:1.0)"),
+    ("1 +0:-0.0000", None, "index must be >= 1 (entry 0:-0.0)"),
+    ("1 1:0.5 -3:1", None, "index must be >= 1 (entry -3:1.0)"),
+    ("1 3:0.5 2:-.25", None, "indices must be strictly increasing (entry 2:-0.25)"),
+    ("1 3:0.5 4:1e999", None, "non-finite value (entry 4:inf)"),
+    ("1 000000000000003:7.", 2, "index exceeds n = 2 (entry 3:7.0)"),
+])
+def test_error_messages_match_across_reads(text, n, message):
+    """A sign-led index goes to the float read, which keeps its sign in the
+    message; both reads give the same message for the same entry."""
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm(text, n=n)
+    assert str(exc.value) == f"line 1: {message}"
+    fast, _, general = outcomes_by_read(text, n)
+    assert fast == general
+
+
+def test_integer_read_is_exact_at_its_limits():
+    """Clinger's fast path at the integer read's limits: 15-digit mantissas
+    and indices, 14 digits after the point, and signed zeros."""
+    values = ["999999999999999", "0.0000000000001", "-0.999999999999", "-0.0000", "+0",
+              "123456789.12345", "0.1", "0.3", "-2.0000", "1.0000"]
+    text = "1 " + " ".join(f"{j + 1}:{v}" for j, v in enumerate(values)) + " 999999999999999:-.5"
+    fast, answered, general = outcomes_by_read(text)
+    assert answered == [True] and fast == general
+    d = parse_libsvm(text)
+    assert d.data.tobytes() == np.array([float(v) for v in values] + [-0.5]).tobytes()
+    assert d.indices[-1] == 999999999999998 and d.n == 999999999999999
+
+
+@pytest.mark.parametrize("body", [" 1:0.5 2:-0.25", " 1:1e3 2:-0.5"])
+def test_values_are_read_into_fresh_arrays(body):
+    """Neither read returns a view of a block-sized buffer, which would stay
+    alive until the last block is read."""
+    _, _, val = harness._read_pairs([body])
+    assert val.base is None
+
+
 def test_largest_exact_index_is_read():
     d = parse_libsvm("1 9007199254740991:1")
     assert d.n == 2 ** 53 - 1 and d.indices.tolist() == [2 ** 53 - 2]
+
+
+def parse_peak(path):
+    """The design read from ``path`` and the parse's tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            back = parse_libsvm(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return back, peak
+
+
+def csr_bytes(design):
+    return design.indptr.nbytes + design.indices.nbytes + design.data.nbytes
 
 
 def test_parse_peak_memory_is_bounded_by_the_design(tmp_path):
@@ -256,13 +395,18 @@ def test_parse_peak_memory_is_bounded_by_the_design(tmp_path):
     path = tmp_path / "dense.libsvm"
     with open(path, "w") as fh:
         write_libsvm(design, fh)
-    tracemalloc.start()
-    try:
-        with open(path) as fh:
-            back = parse_libsvm(fh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    csr_bytes = back.indptr.nbytes + back.indices.nbytes + back.data.nbytes
+    back, peak = parse_peak(path)
     assert np.array_equal(back.data, design.data)
-    assert peak < 3.5 * csr_bytes
+    assert peak < 3.5 * csr_bytes(back)
+
+
+def test_parse_peak_memory_of_short_decimals_is_bounded_by_the_design(tmp_path):
+    """The same bound for "%.4f" values, which the integer read takes."""
+    gen = np.random.default_rng(0)
+    ints = gen.integers(-20000, 20001, size=(2000, 50))
+    path = tmp_path / "short.libsvm"
+    path.write_text("".join("1 " + " ".join(f"{j + 1}:{k / 1e4:.4f}" for j, k in enumerate(row))
+                            + "\n" for row in ints.tolist()))
+    back, peak = parse_peak(path)
+    assert back.data.tobytes() == (ints.ravel() / 1e4).tobytes()
+    assert peak < 3.5 * csr_bytes(back)

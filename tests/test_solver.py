@@ -41,6 +41,21 @@ def half_sq():
                             known_fstar=0.0, name="half_sq")
 
 
+def test_adgd_first_steps_in_closed_form():
+    """adgd on f(x) = 3x²/2 from x0 = 1 with lambda0 = 0.1. The secant is 3
+    on every step. The lambda_{-1} = lambda_0 convention gives theta_0 = 1, so
+    lambda_1 = min(sqrt(2) 0.1, 1/6) is the growth cap, where Malitsky and
+    Mishchenko's theta_0 = +inf would give 1/(2 L_1) = 1/6. Then
+    lambda_2 = min(sqrt(1 + sqrt(2)) lambda_1, 1/6) is the curvature term."""
+    smooth = SmoothOracle(value=lambda x: 1.5 * float(x @ x), gradient=lambda x: 3.0 * x)
+    problem = CompositeProblem(smooth=smooth, nonsmooth=Zero(), name="quad3")
+    res = run(problem, np.array([1.0]), SolverConfig(engine="adgd", lambda0=0.1, max_iters=2))
+    lams = [r.lam for r in res.trace.all_records()]
+    assert [r.L_k for r in res.trace.records] == pytest.approx([3.0, 3.0], rel=1e-14)
+    assert lams == pytest.approx([0.1, math.sqrt(2.0) * 0.1, 1.0 / 6.0], rel=1e-14)
+    assert math.sqrt(1.0 + math.sqrt(2.0)) * lams[1] > 1.0 / 6.0
+
+
 class TestFixedStep:
     def test_geometric_decay(self):
         p = half_sq()
