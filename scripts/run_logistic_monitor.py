@@ -1,5 +1,5 @@
-"""Run the branch-rule solver on synthetic regularized logistic regression and
-replay every trace through the theory monitor.
+"""Run the branch-rule solver on synthetic regularized logistic regression with
+the theory monitor live, against a reference optimum from a longer run.
 
 Usage: python scripts/run_logistic_monitor.py [--seeds N] [--iters K]
 """
@@ -8,8 +8,7 @@ import argparse
 
 import numpy as np
 
-from adaprox import RhoSequence, SolverConfig, monitor_check, run
-from adaprox.adaptive import rho_total
+from adaprox import RhoSequence, SolverConfig, run
 from adaprox.problems import logistic_gamma, logistic_problem, logistic_synthetic
 
 
@@ -32,14 +31,14 @@ def main() -> None:
 
         for rho in (RhoSequence.rho1(), RhoSequence.rho2()):
             problem = logistic_problem(design, gamma)
+            problem.known_fstar = fhat
             cfg = SolverConfig(engine="adapgnc", rho=rho, lambda0=1.0,
-                               max_iters=args.iters, keep_iterates=True)
+                               max_iters=args.iters, monitor=True)
             res = run(problem, np.zeros(args.n), cfg, seed=seed)
-            rep = monitor_check(res.trace, problem, rho_total(rho), fstar=fhat)
             print(f"seed {seed} rho={rho.kind}: {len(res.trace.records)} iters, "
                   f"terminated by {res.trace.termination}, "
                   f"min ||G|| = {res.trace.min_gradmap():.3e}")
-            for line in rep.summary_lines():
+            for line in res.report.summary_lines():
                 print("   ", line)
 
 

@@ -41,7 +41,6 @@ from .solver import (
     RunResult,
     SolverConfig,
     Trace,
-    ergodic_average,
     run,
 )
 

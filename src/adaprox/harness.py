@@ -468,6 +468,8 @@ def load_config(path: str) -> ExperimentConfig:
         runsec = cp["run"]
         _reject_unknown("[run]", runsec, ("seeds", "out"))
         seeds = [int(s) for s in runsec.get("seeds", "0").split()]
+        if any(s < 0 for s in seeds):
+            raise UsageError(f"seeds must be non-negative, got {min(seeds)}")
         out_dir = runsec.get("out", "out")
         solvers = []
         for section in cp.sections():
@@ -497,8 +499,8 @@ def save_config(config: ExperimentConfig, path: str) -> None:
     cp["problem"] = {k: str(v) for k, v in config.problem.items()}
     cp["run"] = {"seeds": " ".join(str(s) for s in config.seeds), "out": config.out_dir}
     for name, sc in config.solvers:
-        if sc.monitor or sc.keep_iterates:
-            raise UsageError(f"solver {name}: monitor and keep_iterates cannot be saved")
+        if sc.monitor:
+            raise UsageError(f"solver {name}: monitor cannot be saved")
         # the file names a rho sequence by kind only
         if sc.rho.kind not in RHO_NAMES or make_rho(sc.rho.kind) != sc.rho:
             raise UsageError(f"solver {name}: only a default rho sequence can be saved")
@@ -530,12 +532,15 @@ PROBLEM_KEYS = {
 
 
 def check_problem_spec(spec: Dict[str, str]) -> str:
-    """The spec's kind; an unknown kind, or a key the kind does not read, is a
-    UsageError."""
+    """The spec's kind; an unknown kind, a key the kind does not read, or an
+    m beside a logistic data file (whose rows set m), is a UsageError."""
     kind = spec.get("kind", "quadratic")
     if kind not in PROBLEM_KEYS:
         raise UsageError(f"unknown problem kind {kind!r}")
     _reject_unknown(f"problem kind {kind!r}", set(spec) - {"kind"}, PROBLEM_KEYS[kind])
+    if kind == "logistic" and "data" in spec and "m" in spec:
+        raise UsageError("problem kind 'logistic' takes m or data, not both: "
+                         "the data file's rows set m")
     return kind
 
 

@@ -13,8 +13,8 @@ Checks are reported under these names, in this order:
   sum_bound                  running sum lam_i^2 ||grad f + h'||^2 <= S
 
 Checks whose inputs are unavailable (no certified L, no reference optimum,
-neither streamed residuals nor retained iterates) are reported as skipped,
-never silently passed, and an observation whose margin is NaN fails its check.
+no residuals streamed by a monitored run) are reported as skipped, never
+silently passed, and an observation whose margin is NaN fails its check.
 """
 
 from __future__ import annotations
@@ -241,15 +241,9 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
                                "complexity_bound_realized"])
 
     # (f) bound on the running weighted subgradient-residual sum; needs the
-    # constants above and the residuals: streamed by run(), or replayed from
-    # retained iterates and gradients.
-    sq = None
-    if fstar is not None and have_consts and K >= 1:
-        sq = trace.residual_sq
-        if sq is None and all(r.x is not None and r.grad is not None for r in rs):
-            sq = np.fromiter((squared_residual(prev.x, cur.x, lp, prev.grad, cur.grad)
-                              for prev, cur, lp in zip(rs, recs, lam)), float, K)
-    if sq is not None:
+    # constants above and the residuals streamed by run().
+    sq = trace.residual_sq
+    if fstar is not None and have_consts and K >= 1 and sq is not None:
         if math.isinf(hi) or om == 0.0:
             report.S = math.inf
         else:

@@ -19,6 +19,9 @@ from .prox import L1, NonnegIndicator, Zero
 
 
 def rng(seed: int) -> np.random.Generator:
+    """The generator for seed; a negative seed is a UsageError."""
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -51,7 +51,6 @@ class SolverConfig:
     max_seconds: float = math.inf
     gradmap_tol: float = 0.0
     monitor: bool = False
-    keep_iterates: bool = False
 
     def validate(self) -> None:
         if self.engine not in ENGINES:
@@ -83,6 +82,7 @@ class IterationRecord:
     n_value: int
     n_gradient: int
     n_prox: int
+    # set on the last kept record only; kept because the benchmark's checks read them
     x: Optional[Vector] = None
     grad: Optional[Vector] = None
 
@@ -128,7 +128,7 @@ _NO_CURVATURE = CurvaturePair(math.nan, math.nan)
 
 def _prox_step_record(problem: CompositeProblem, k: int, x: Vector, f: float,
                       grad: Vector, lam: float, curv: CurvaturePair,
-                      rho_used: float, elapsed: float, keep: bool):
+                      rho_used: float, elapsed: float):
     """x_next = prox_{lam h}(x - lam grad) and the record of iterate k, with
     G_k = (x - x_next)/lam. Returns (x_next, dx, ||dx||, record) where
     dx = x_next - x."""
@@ -141,7 +141,6 @@ def _prox_step_record(problem: CompositeProblem, k: int, x: Vector, f: float,
         gradmap_norm=nd / lam, lam=lam,
         L_k=curv.L_k, l_k=curv.l_k, rho_used=rho_used, elapsed_seconds=elapsed,
         n_value=c.n_value, n_gradient=c.n_gradient, n_prox=c.n_prox,
-        x=x.copy() if keep else None, grad=grad.copy() if keep else None,
     )
     return x_next, dx, nd, rec
 
@@ -154,12 +153,12 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     or a non-finite f_k or ||G_k|| (a failure; that record is not kept, and
     x_final is its iterate).
 
-    With keep_iterates every record carries its x and grad; otherwise only the
-    last kept record does. With the monitor on and the problem's known_L and
-    known_fstar both set, sum_bound's residuals are streamed into the trace
-    instead. With the monitor on, a known_L or known_fstar that the monitor
-    refuses is a UsageError before any oracle call, and so is gd-ls with an h
-    that is not Zero: its Armijo test on f alone says nothing of F = f + h."""
+    Only the last kept record carries its x and grad. With the monitor on and
+    the problem's known_L and known_fstar both set, sum_bound's residuals are
+    streamed into the trace. With the monitor on, a known_L or known_fstar
+    that the monitor refuses is a UsageError before any oracle call, and so is
+    gd-ls with an h that is not Zero: its Armijo test on f alone says nothing
+    of F = f + h."""
     config.validate()
     engine = config.engine
     if engine == "gd-ls" and not isinstance(problem.nonsmooth, Zero):
@@ -184,7 +183,7 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     # lam, lam_prev: lambda_{k-1}, lambda_{k-2}; lambda_{-1} = lambda_0 convention
     lam = lam_prev = config.lambda0
     x_next, dx, nd, rec = _prox_step_record(problem, 0, x, f, grad, lam, _NO_CURVATURE,
-                                            math.nan, 0.0, config.keep_iterates)
+                                            math.nan, 0.0)
     trace = Trace(problem_name=problem.name, engine=engine, lambda0=lam, init=rec,
                   seed=seed)
     best_F, best_x = rec.F_value, x  # no iterate is changed in place; copied once below
@@ -234,7 +233,7 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         lam_prev, lam = lam, step
 
         x_next, dx, nd, rec = _prox_step_record(problem, k, x, f, grad, lam, curv,
-                                                rho_used, elapsed, config.keep_iterates)
+                                                rho_used, elapsed)
         if not (math.isfinite(rec.f_value) and math.isfinite(rec.gradmap_norm)):
             termination = "non_finite"
             break
@@ -246,8 +245,7 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
             best_F, best_x = rec.F_value, x
 
     last = trace.records[-1] if trace.records else trace.init
-    if last.x is None:
-        last.x, last.grad = x_rec.copy(), grad_rec.copy()
+    last.x, last.grad = x_rec.copy(), grad_rec.copy()
     if residuals is not None:
         trace.residual_sq = np.array(residuals)
     trace.termination = termination
@@ -259,16 +257,3 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         result.report = monitor_check(trace, problem, rho_total(config.rho))
     return result
 
-
-def ergodic_average(trace: Trace) -> Vector:
-    """Step-size weighted mean of the iterates x_1..x_k; every record must
-    carry its x (a run with keep_iterates)."""
-    recs = trace.records
-    if not recs or any(r.x is None for r in recs):
-        raise UsageError("ergodic_average needs a nonempty trace run with keep_iterates")
-    acc = np.zeros_like(recs[0].x)
-    wsum = 0.0
-    for r in recs:
-        acc += r.lam * r.x
-        wsum += r.lam
-    return acc / wsum

@@ -5,7 +5,8 @@ use fixed seed sets; theorem-backed criteria use the 1e-9 relative slack the
 monitor applies everywhere. Runs that converge to machine precision stop by
 stagnation before the iteration budget; every per-iteration assertion then
 covers the realized range, and the two-horizon ergodic comparison uses the
-final horizon and its half.
+final horizon and its half. Criteria that need iterates rebuild them from the
+recorded steps with ``replay_iterates``.
 """
 
 import math
@@ -13,13 +14,13 @@ import time
 
 import numpy as np
 
+from conftest import replay_iterates
+
 from adaprox import (
     RhoSequence,
     SolverConfig,
-    monitor_check,
     run,
 )
-from adaprox.adaptive import rho_total
 from adaprox.problems import (
     FactorShape,
     lasso_problem,
@@ -52,7 +53,8 @@ _LOGISTIC_CACHE = {}
 
 
 def logistic_runs(seed: int):
-    """Reference optimum plus monitored 2000-iteration traces for one seed."""
+    """Reference optimum plus monitored 2000-iteration runs for one seed, each
+    checked live against that optimum."""
     if seed in _LOGISTIC_CACHE:
         return _LOGISTIC_CACHE[seed]
     design = logistic_synthetic(200, 20, seed)
@@ -66,8 +68,9 @@ def logistic_runs(seed: int):
     traces = {}
     for rho_kind, rho in (("rho1", RhoSequence.rho1()), ("rho2", RhoSequence.rho2())):
         problem = logistic_problem(design, gamma)
+        problem.known_fstar = fhat
         cfg = SolverConfig(engine="adapgnc", rho=rho, lambda0=1.0,
-                           max_iters=2000, keep_iterates=True)
+                           max_iters=2000, monitor=True)
         res = run(problem, np.zeros(20), cfg, seed=seed)
         traces[rho_kind] = (problem, res, rho)
     out = (fhat, ref.x_final, traces)
@@ -79,9 +82,9 @@ def test_criterion_1_theory_monitor_suite():
     t0 = time.perf_counter()
     failures = []
     for seed in SEEDS:
-        fhat, _, traces = logistic_runs(seed)
-        for rho_kind, (problem, res, rho) in traces.items():
-            rep = monitor_check(res.trace, problem, rho_total(rho), fstar=fhat)
+        _, _, traces = logistic_runs(seed)
+        for rho_kind, (_, res, _) in traces.items():
+            rep = res.report
             if not rep.passed or rep.skipped:
                 failures.append((seed, rho_kind, rep.summary_lines()))
     elapsed = time.perf_counter() - t0
@@ -162,8 +165,7 @@ def test_criterion_3_convex_ergodic_rate():
         F0 = trace.init.F_value
         tol = SLACK * (1.0 + abs(F0))
         lam_lower = min(trace.lambda0, 1.0 / (2.0 * problem.smooth.known_L))
-        xs = [trace.init.x] + [r.x for r in recs]
-        gs = [trace.init.grad] + [r.grad for r in recs]
+        xs, gs = replay_iterates(problem, np.zeros(20), res)
         x1 = xs[1] if K >= 1 else None
         dist_sq = float(np.dot(x1 - xstar, x1 - xstar))
         acc = np.zeros_like(xs[0])
@@ -261,12 +263,10 @@ def test_criterion_6_bb_variant_properties():
     for seed in SEEDS:
         design = logistic_synthetic(200, 20, seed)
         problem = logistic_problem(design, logistic_gamma(design))
-        cfg = SolverConfig(engine="adapgnc-bb", lambda0=1.0, max_iters=1000,
-                           keep_iterates=True)
+        cfg = SolverConfig(engine="adapgnc-bb", lambda0=1.0, max_iters=1000)
         res = run(problem, np.zeros(20), cfg, seed=seed)
         recs = res.trace.records
-        xs = [res.trace.init.x] + [r.x for r in recs]
-        gs = [res.trace.init.grad] + [r.grad for r in recs]
+        xs, gs = replay_iterates(problem, np.zeros(20), res)
         for k in range(1, len(recs) + 1):
             dx = xs[k] - xs[k - 1]
             dg = gs[k] - gs[k - 1]

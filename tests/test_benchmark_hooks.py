@@ -98,7 +98,7 @@ def test_logistic_build_makes_two_matrix_and_two_power_iteration_calls():
 
 def test_monitored_nmf_run_passes_benchmark_check():
     """``checks.nmf_output`` recomputes the gradient mapping from the last
-    record's iterate, which a monitored run without keep_iterates must keep."""
+    record's iterate, which a monitored run must keep."""
     checks = load_perfbench("checks")
     g = np.random.default_rng(7)
     shape = problems.FactorShape(p=12, q=10, r=2)

@@ -457,9 +457,9 @@ class TestConfig:
             save_config(cfg, path)
         assert not os.path.exists(path)
 
-    @pytest.mark.parametrize("flag", ["monitor", "keep_iterates"])
+    @pytest.mark.parametrize("flag", ["monitor"])
     def test_unsavable_run_flags_rejected(self, tmp_path, flag):
-        # the file has no key for either, so it would read back as False
+        # the file has no key for it, so it would read back as False
         cfg = self.make_config(tmp_path)
         cfg.solvers = [("s", SolverConfig(**{flag: True}))]
         path = str(tmp_path / "a.ini")
@@ -526,6 +526,31 @@ class TestConfig:
         with pytest.raises(UsageError, match="cubic"):
             load_config(path)
         assert cli_main(["bench", "--config", path]) == 2
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_logistic_m_beside_data_rejected(self, tmp_path, capsys):
+        """A data file's rows set m, so an m beside it is refused, not ignored."""
+        data = str(tmp_path / "d.libsvm")
+        assert cli_main(["gen", "--m", "30", "--n", "4", "--out", data]) == 0
+        with pytest.raises(UsageError, match="m or data"):
+            build_problem({"kind": "logistic", "data": data, "m": "5"}, 0)
+        path = str(tmp_path / "bad.ini")
+        with open(path, "w") as fh:
+            fh.write(f"[problem]\nkind = logistic\ndata = {data}\nm = 5\n"
+                     f"[run]\nout = {tmp_path / 'out'}\n[solver s]\nmax_iters = 5\n")
+        assert cli_main(["bench", "--config", path]) == 2
+        assert "m or data" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        path = str(tmp_path / "bad.ini")
+        with open(path, "w") as fh:
+            fh.write(f"[problem]\nkind = quadratic\n[run]\nseeds = 0 -1\n"
+                     f"out = {tmp_path / 'out'}\n[solver s]\nmax_iters = 5\n")
+        with pytest.raises(UsageError, match="non-negative"):
+            load_config(path)
+        assert cli_main(["bench", "--config", path]) == 2
+        assert "seeds must be non-negative" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
     def test_grid_rows_and_optgap(self, tmp_path):
@@ -709,6 +734,27 @@ class TestCli:
     def test_solve_rejects_problem_keys_kind_does_not_read(self, capsys, argv):
         assert cli_main(["solve", "--max-iters", "3"] + argv) == 2
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_solve_logistic_m_beside_data_exits_2(self, tmp_path, capsys):
+        data = str(tmp_path / "d.libsvm")
+        assert cli_main(["gen", "--m", "30", "--n", "4", "--out", data]) == 0
+        capsys.readouterr()
+        assert cli_main(["solve", "--problem", "logistic", "--data", data,
+                         "--m", "5", "--max-iters", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "m or data" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--seed", "-1", "--max-iters", "3"],
+        ["gen", "--seed", "-1", "--out", "d.libsvm"],
+    ], ids=["solve", "gen"])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error: seed must be non-negative, got -1" in err
+        assert not (tmp_path / "d.libsvm").exists()
 
     def test_solve_infinite_lambda0_exits_2(self, capsys):
         assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import replay_iterates
+
 from adaprox import (
     CompositeProblem,
     NonconvexDetected,
@@ -15,7 +17,6 @@ from adaprox import (
     SmoothOracle,
     SolverConfig,
     UsageError,
-    ergodic_average,
     monitor_check,
     run,
 )
@@ -306,7 +307,7 @@ class TestTermination:
             smooth=SmoothOracle(value=slow_value, gradient=lambda x: x),
             nonsmooth=Zero())
         cfg = SolverConfig(engine="fixed", lambda0=1e-6, max_iters=10**8,
-                           max_seconds=0.05, keep_iterates=True)
+                           max_seconds=0.05)
         res = run(p, np.array([1.0]), cfg)
         assert res.trace.termination == "max_seconds"
         # x_final is the prox step taken from the last record
@@ -342,41 +343,6 @@ def test_min_gradmap_matches_independent_scan():
     assert res.trace.min_gradmap() == scan
     for r in res.trace.all_records():
         assert res.trace.min_gradmap() <= r.gradmap_norm
-
-
-class TestErgodicAverage:
-    def test_weighted_mean_two_records(self):
-        p = half_sq()
-        cfg = SolverConfig(engine="fixed", lambda0=0.5, max_iters=2,
-                           keep_iterates=True)
-        res = run(p, np.array([1.0]), cfg)
-        xs = [r.x for r in res.trace.records]
-        # equal weights here, so the plain mean
-        assert ergodic_average(res.trace)[0] == (xs[0][0] + xs[1][0]) / 2.0
-
-    def test_unequal_weights(self):
-        p = quadratic_problem([1.0, 2.0], seed=2)
-        res = run(p, np.ones(2),
-                  SolverConfig(engine="adapgnc", max_iters=10, keep_iterates=True))
-        recs = res.trace.records
-        expect = sum(r.lam * r.x for r in recs) / sum(r.lam for r in recs)
-        assert np.allclose(ergodic_average(res.trace), expect, rtol=1e-14)
-
-    def test_requires_retained_iterates(self):
-        p = half_sq()
-        res = run(p, np.array([1.0]),
-                  SolverConfig(engine="fixed", lambda0=0.5, max_iters=2))
-        with pytest.raises(UsageError):
-            ergodic_average(res.trace)
-
-    def test_monitored_run_needs_keep_iterates(self):
-        # a monitored run keeps only the last record's iterate, which an
-        # average over the kept records would silently return
-        p = quadratic_problem([1.0, 2.0], seed=2)
-        res = run(p, np.ones(2), SolverConfig(max_iters=10, monitor=True))
-        assert res.trace.records[-1].x is not None
-        with pytest.raises(UsageError, match="keep_iterates"):
-            ergodic_average(res.trace)
 
 
 lam_s = (st.floats(-3.0, 3.0) | st.floats(-170.0, 170.0)).map(lambda e: 10.0**e)
@@ -438,7 +404,7 @@ class TestMonitorIntegration:
         # rewrite one recorded curvature estimate so the step it certified
         # no longer satisfies the step condition
         p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
-        cfg = SolverConfig(engine="adapgnc", max_iters=30, keep_iterates=True)
+        cfg = SolverConfig(engine="adapgnc", max_iters=30)
         res = run(p, np.ones(3), cfg)
         res.trace.records[2].l_k = 2.0
         rep = monitor_check(res.trace, p, rho_total(RhoSequence.rho2()))
@@ -539,11 +505,16 @@ class TestMonitorIntegration:
         # corrupt the record for k=5 of a run whose bounds are not vacuous
         p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
         rho = RhoSequence.custom([1.0, 0.5, 0.25])
-        cfg = SolverConfig(engine="adapgnc", rho=rho, max_iters=30, keep_iterates=True)
+        cfg = SolverConfig(engine="adapgnc", rho=rho, max_iters=30, monitor=True)
         res = run(p, np.ones(3), cfg)
-        assert monitor_check(res.trace, p, rho_total(rho)).passed
+        assert res.report.passed
+        xs, gs = replay_iterates(p, np.ones(3), res)
         rec = res.trace.records[4]
         setattr(rec, field, change(getattr(rec, field)))
+        # the streamed residuals depend on lam_{k-1}: recompute them for the
+        # corrupted trace, so a bad lam_5 reaches sum_bound at k=6
+        lams = [r.lam for r in res.trace.all_records()]
+        res.trace.residual_sq = written_out_residuals(xs, gs, lams)
         rep = monitor_check(res.trace, p, rho_total(rho))
         assert rep.skipped == []
         for name, k in failures.items():
@@ -614,15 +585,11 @@ def test_adgd_engine_converges():
     assert res.trace.termination in ("tol", "stagnation")
 
 
-def test_keep_iterates_retains_vectors():
-    p = half_sq()
-    on = run(p, np.array([1.0]), SolverConfig(engine="fixed", lambda0=0.5,
-                                              max_iters=2, keep_iterates=True))
-    assert all(r.x is not None and r.grad is not None for r in on.trace.all_records())
+def test_only_last_record_carries_vectors():
     for monitor in (False, True):
-        off = run(p, np.array([1.0]), SolverConfig(lambda0=0.5, max_iters=2,
-                                                   monitor=monitor))
-        *rest, last = off.trace.all_records()
+        res = run(half_sq(), np.array([1.0]), SolverConfig(lambda0=0.5, max_iters=2,
+                                                           monitor=monitor))
+        *rest, last = res.trace.all_records()
         assert all(r.x is None and r.grad is None for r in rest)
         assert last.x is not None and last.grad is not None
 
@@ -637,9 +604,9 @@ def test_keep_iterates_retains_vectors():
 ])
 def test_unkept_last_record_steps_to_x_final(termination, max_iters, tol, nan,
                                              nan_problem):
-    """Without keep_iterates the last kept record still carries its x and
-    grad, and x_final is the prox step from them (also when the next
-    iterate's value or gradient was not finite)."""
+    """The last kept record carries its x and grad, and x_final is the prox
+    step from them (also when the next iterate's value or gradient was not
+    finite)."""
     exact = quadratic_problem([0.5, 1.0, 2.0], seed=1)
     for monitor in (False, True):
         p = nan_problem(nan) if nan else exact
@@ -652,11 +619,26 @@ def test_unkept_last_record_steps_to_x_final(termination, max_iters, tol, nan,
                               p.prox_step(last.x - last.lam * last.grad, last.lam))
 
 
+def written_out_residuals(xs, gs, lams):
+    """sum_bound's squared residual ||grad f(x_k) + h'_k||^2 for k = 1..K, with
+    h'_k = (x_{k-1} - x_k)/lam_{k-1} - grad f(x_{k-1}), summed coordinate by
+    coordinate in Python floats."""
+    out = []
+    for k in range(1, len(xs)):
+        acc = 0.0
+        for xp, x, gp, g in zip(xs[k - 1], xs[k], gs[k - 1], gs[k]):
+            r = g + ((xp - x) / lams[k - 1] - gp)
+            acc += r * r
+        out.append(acc)
+    return np.array(out)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_live_sum_bound_equals_replay_over_kept_iterates(data):
-    """The live monitor, fed residuals streamed from the loop, reports exactly
-    what a replay over a keep_iterates run of the same configuration does."""
+    """The residuals a monitored run streams for sum_bound equal, bit for bit,
+    a written-out recomputation from the iterates replayed from its recorded
+    steps. Below 8 entries NumPy sums in order, as the Python loop does."""
     dim = data.draw(st.integers(1, 5))
     eigs = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=dim, max_size=dim))
     seed = data.draw(st.integers(0, 2**16))
@@ -664,14 +646,17 @@ def test_live_sum_bound_equals_replay_over_kept_iterates(data):
         RhoSequence.rho1(), RhoSequence.rho2(), RhoSequence.custom([1.0, 0.5, 0.25])]))
     config = SolverConfig(engine=data.draw(st.sampled_from(MONITORED_ENGINES)), rho=rho,
                           lambda0=data.draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0])),
-                          max_iters=data.draw(st.integers(0, 60)))
+                          max_iters=data.draw(st.integers(0, 60)), monitor=True)
     problem = quadratic_problem(eigs, seed=seed)
     x0 = rng(seed + 1).standard_normal(dim)
-    live = run(problem, x0, replace(config, monitor=True)).report
-    kept = run(problem, x0, replace(config, keep_iterates=True))
-    assert repr(live) == repr(monitor_check(kept.trace, problem, rho_total(rho)))
-    if kept.trace.records:
-        assert live.skipped == []
+    res = run(problem, x0, config)
+    xs, gs = replay_iterates(problem, x0, res)
+    lams = [r.lam for r in res.trace.all_records()]
+    written = written_out_residuals(xs, gs, lams)
+    assert res.trace.residual_sq.tobytes() == written.tobytes()
+    if res.trace.records:
+        assert res.report.skipped == []
+        assert res.report.check("sum_bound").n_checked == len(res.trace.records)
 
 
 def test_monitored_memory_is_flat_in_iterations():
