@@ -7,7 +7,6 @@ non-finite value), 2 usage error, 3 monitor violation.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional
 
@@ -15,11 +14,13 @@ from .adaptive import RHO_NAMES, rho_total
 from .core import UsageError
 from .harness import (
     PROBLEM_KEYS,
+    SOLVER_KEYS,
     build_problem,
     load_config,
     make_rho,
     read_trace,
     run_experiment,
+    solver_config,
     summary_table,
     write_libsvm,
     write_summary,
@@ -27,7 +28,7 @@ from .harness import (
 )
 from .monitor import monitor_check
 from .problems import logistic_synthetic
-from .solver import ENGINES, SolverConfig, run
+from .solver import ENGINES, run
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -36,36 +37,37 @@ EXIT_MONITOR = 3
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", default="adapgnc", choices=ENGINES)
-    p.add_argument("--rho", default="rho2", choices=RHO_NAMES)
-    p.add_argument("--lambda0", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=0.0)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--max-seconds", type=float, default=math.inf)
+    # each SOLVER_KEYS key, None when not given, so that SolverConfig sets the default
+    p.add_argument("--solver", dest="engine", choices=ENGINES)
+    p.add_argument("--rho", choices=RHO_NAMES)
+    p.add_argument("--lambda0", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--max-seconds", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--monitor", action="store_true")
 
 
+#: solve's problem flags besides --problem, each a PROBLEM_KEYS key: {flag: type}.
+PROBLEM_FLAGS = {"data": str, "m": int, "n": int, "p": int, "q": int, "r": int,
+                 "dim": int, "nobs": int, "gamma": float}
+
+
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", default="quadratic", choices=PROBLEM_KEYS)
-    p.add_argument("--data", help="LIBSVM file for the logistic problem")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--nobs", type=int)
-    p.add_argument("--gamma", type=float)
+    for key, kind in PROBLEM_FLAGS.items():
+        p.add_argument(f"--{key}", type=kind,
+                       help="LIBSVM file for the logistic problem" if key == "data" else None)
+
+
+def _given(args, keys) -> dict:
+    """The flags among ``keys`` that were given, as {key: value}."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _problem_spec(args) -> dict:
-    spec = {"kind": args.problem}
-    for key in ("data", "m", "n", "p", "q", "r", "dim", "nobs", "gamma"):
-        val = getattr(args, key, None)
-        if val is not None:
-            spec[key] = str(val)
-    return spec
+    return {"kind": args.problem,
+            **{key: str(val) for key, val in _given(args, PROBLEM_FLAGS).items()}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,15 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    config = SolverConfig(engine=args.solver, rho=make_rho(args.rho),
-                          lambda0=args.lambda0, max_iters=args.max_iters,
-                          max_seconds=args.max_seconds, gradmap_tol=args.tol,
-                          monitor=args.monitor)
-    config.validate()
+    config = solver_config("solve", _given(args, SOLVER_KEYS), monitor=args.monitor)
     problem, x0 = build_problem(_problem_spec(args), args.seed)
     result = run(problem, x0, config, seed=args.seed)
     trace = result.trace
-    print(f"{problem.name}: {args.solver} terminated by {trace.termination} "
+    print(f"{problem.name}: {config.engine} terminated by {trace.termination} "
           f"after {len(trace.records)} iterations; "
           f"best F = {result.best_F:.10e}, min ||G|| = {trace.min_gradmap():.3e}")
     if result.report is not None:

@@ -19,6 +19,7 @@ from .core import UsageError
 from .problems import (
     FactorShape,
     SparseDesign,
+    check_seed,
     lasso_problem,
     lasso_synthetic,
     logistic_gamma,
@@ -313,10 +314,6 @@ TRACE_VERSION = 2
 _INFINITIES = {"inf": math.inf, "-inf": -math.inf}
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _json_float(v: float):
     """A float's JSON value. RFC 8259 has no NaN or infinity: NaN is written
     as null and ±inf as "inf"/"-inf"."""
@@ -440,6 +437,29 @@ def make_rho(name: str) -> RhoSequence:
     return getattr(RhoSequence, name)()
 
 
+#: The keys of a [solver <name>] section, which are also solve's solver flags:
+#: key -> (SolverConfig field, reader of the key's value).
+SOLVER_KEYS = {
+    "engine": ("engine", str),
+    "rho": ("rho", make_rho),
+    "lambda0": ("lambda0", float),
+    "max_iters": ("max_iters", int),
+    "max_seconds": ("max_seconds", float),
+    "tol": ("gradmap_tol", float),
+}
+
+
+def solver_config(where: str, settings, monitor: bool = False) -> SolverConfig:
+    """The validated SolverConfig of ``settings``, a mapping of SOLVER_KEYS
+    keys to values; a key not given keeps SolverConfig's default. An unknown
+    key is a UsageError naming ``where``."""
+    _reject_unknown(where, settings, SOLVER_KEYS)
+    config = SolverConfig(monitor=monitor, **{
+        SOLVER_KEYS[key][0]: SOLVER_KEYS[key][1](value) for key, value in settings.items()})
+    config.validate()
+    return config
+
+
 @dataclass
 class ExperimentConfig:
     problem: Dict[str, str]
@@ -471,51 +491,11 @@ def load_config(path: str) -> ExperimentConfig:
         if any(s < 0 for s in seeds):
             raise UsageError(f"seeds must be non-negative, got {min(seeds)}")
         out_dir = runsec.get("out", "out")
-        solvers = []
-        for section in cp.sections():
-            if not section.startswith("solver "):
-                continue
-            name = section[len("solver "):]
-            s = cp[section]
-            _reject_unknown(f"[{section}]", s, ("engine", "rho", "lambda0", "max_iters",
-                                                "max_seconds", "tol"))
-            sc = SolverConfig(
-                engine=s.get("engine", "adapgnc"),
-                rho=make_rho(s.get("rho", "rho2")),
-                lambda0=s.getfloat("lambda0", 1.0),
-                max_iters=s.getint("max_iters", 1000),
-                max_seconds=s.getfloat("max_seconds", math.inf),
-                gradmap_tol=s.getfloat("tol", 0.0),
-            )
-            sc.validate()
-            solvers.append((name, sc))
+        solvers = [(section[len("solver "):], solver_config(f"[{section}]", cp[section]))
+                   for section in cp.sections() if section.startswith("solver ")]
         return ExperimentConfig(problem=problem, solvers=solvers, seeds=seeds, out_dir=out_dir)
     except (configparser.Error, ValueError) as exc:
         raise UsageError(f"config {path}: {exc}") from None
-
-
-def save_config(config: ExperimentConfig, path: str) -> None:
-    cp = configparser.ConfigParser()
-    cp["problem"] = {k: str(v) for k, v in config.problem.items()}
-    cp["run"] = {"seeds": " ".join(str(s) for s in config.seeds), "out": config.out_dir}
-    for name, sc in config.solvers:
-        if sc.monitor:
-            raise UsageError(f"solver {name}: monitor cannot be saved")
-        # the file names a rho sequence by kind only
-        if sc.rho.kind not in RHO_NAMES or make_rho(sc.rho.kind) != sc.rho:
-            raise UsageError(f"solver {name}: only a default rho sequence can be saved")
-        sec = f"solver {name}"
-        cp[sec] = {
-            "engine": sc.engine,
-            "rho": sc.rho.kind,
-            "lambda0": _fmt(sc.lambda0),
-            "max_iters": str(sc.max_iters),
-            "tol": _fmt(sc.gradmap_tol),
-        }
-        if math.isfinite(sc.max_seconds):
-            cp[sec]["max_seconds"] = _fmt(sc.max_seconds)
-    with open(path, "w") as fh:
-        cp.write(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +526,10 @@ def check_problem_spec(spec: Dict[str, str]) -> str:
 
 def build_problem(spec: Dict[str, str], seed: int):
     """Instantiate (problem, x0) from a flat problem spec and a seed, checked
-    by check_problem_spec."""
+    by check_problem_spec; a negative seed is a UsageError, also where it
+    seeds no generator."""
     kind = check_problem_spec(spec)
+    check_seed(seed)
     if kind == "quadratic":
         dim = int(spec.get("dim", 10))
         eigs = np.linspace(float(spec.get("eig_min", 1.0)),

@@ -125,9 +125,9 @@ def lyapunov_weights(trace: Trace) -> np.ndarray:
     over/underflows, and a cumprod rounds differently.
 
     The recursion runs on the records' Python floats. Where IEEE arithmetic
-    overflows or divides by zero, Python floats raise instead; that step is
-    then taken in NumPy scalars, which give the IEEE inf or NaN (with NumPy's
-    warning)."""
+    overflows or divides by zero, or a rho below -1 has no square root, Python
+    floats raise instead; that step is then taken in NumPy scalars, which give
+    the IEEE inf or NaN (with NumPy's warning)."""
     omega = np.empty(len(trace.records) + 1)
     om = omega[0] = 1.0
     lam_p, rho_p = float(trace.lambda0), 0.0
@@ -135,17 +135,18 @@ def lyapunov_weights(trace: Trace) -> np.ndarray:
         lam_k, rho_k = r.lam, r.rho_used
         try:
             om = _omega_step(om, lam_k, lam_p, rho_k, rho_p)
-        except ArithmeticError:
+        except (ArithmeticError, ValueError):
             om = float(_omega_step(np.float64(om), np.float64(lam_k), np.float64(lam_p),
-                                   rho_k, rho_p))
+                                   rho_k, rho_p, np.sqrt))
         omega[k] = om
         lam_p, rho_p = lam_k, rho_k
     return omega
 
 
-def _omega_step(om, lam_k, lam_p, rho_k, rho_p):
-    """omega_k from omega_{k-1}, for Python floats and NumPy scalars alike."""
-    return om * lam_k ** 2 / (lam_p ** 2 * (1.0 + rho_k) * math.sqrt(1.0 + rho_p))
+def _omega_step(om, lam_k, lam_p, rho_k, rho_p, sqrt=math.sqrt):
+    """omega_k from omega_{k-1}, for Python floats with math.sqrt and NumPy
+    scalars with np.sqrt alike: both roots are IEEE's, so they round the same."""
+    return om * lam_k ** 2 / (lam_p ** 2 * (1.0 + rho_k) * sqrt(1.0 + rho_p))
 
 
 def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
@@ -159,16 +160,22 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     bounds on lam_k and omega_k get 1e-12 * max(1, bound), or max(1, lam0)
     for lam_upper.
     Only traces of the branch-rule engines are accepted; other engines carry
-    no such guarantees. A known_L that is not positive and finite, or an
-    fstar that is not finite, is a UsageError.
+    no such guarantees. A known_L that is not positive and finite, an
+    fstar that is not finite, or a trace whose lambda0 is not positive and
+    finite or not the k=0 record's lambda (run writes the two equal), is a
+    UsageError.
     """
     if trace.engine not in MONITORED_ENGINES:
         raise UsageError(
             f"monitor covers engines {MONITORED_ENGINES}, got {trace.engine!r}")
     known_L, fstar = monitor_constants(problem, known_L=known_L, fstar=fstar)
+    lam0 = trace.lambda0
+    if not 0.0 < lam0 < math.inf or lam0 != trace.init.lam:
+        raise UsageError(f"trace lambda0 must be positive, finite and the k=0 record's "
+                         f"lambda, got {lam0} and {trace.init.lam}")
     have_consts = known_L is not None and rho_total_value is not None
 
-    recs, rs, lam0 = trace.records, trace.all_records(), trace.lambda0
+    recs, rs = trace.records, trace.all_records()
     K = len(recs)
 
     def column(records, name):
@@ -176,7 +183,6 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
 
     # Columns over k = 0..K, then their k-1 and k views over k = 1..K.
     lam, F, G = column(rs, "lam"), column(rs, "F_value"), column(rs, "gradmap_norm")
-    lam[0] = lam0
     lam_p, lam_k, F_p, F_k, G_p, G_k = lam[:-1], lam[1:], F[:-1], F[1:], G[:-1], G[1:]
     ks = np.arange(1, K + 1)
     tol = 1e-9 * (1.0 + np.abs(F_p))
@@ -213,8 +219,11 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     # (d) Lyapunov weights.
     omega = lyapunov_weights(trace)
     if have_consts:
-        om = report.omega_lower = (lo ** 2 / lam0 ** 2) * _safe_exp(
-            -1.5 * rho_total_value)
+        try:
+            om = lo ** 2 / lam0 ** 2
+        except ArithmeticError:  # a square over- or underflows; lo <= lam0, so this does not
+            om = (lo / lam0) ** 2
+        om = report.omega_lower = om * _safe_exp(-1.5 * rho_total_value)
         report.checks.append(_check("omega_lower", ks, om, omega[1:],
                                     1e-12 * max(1.0, om)))
     else:
@@ -244,11 +253,12 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     # constants above and the residuals streamed by run().
     sq = trace.residual_sq
     if fstar is not None and have_consts and K >= 1 and sq is not None:
-        if math.isinf(hi) or om == 0.0:
+        try:
+            report.S = (math.inf if math.isinf(hi) or om == 0.0 else
+                        (hi ** 2 / lo) * (2.0 * hi ** 2 / (om * lo ** 2) * V0
+                                          + 2.0 * (F[0] - fstar)))
+        except ArithmeticError:  # hi^2 overflows or lo^2 underflows: S is past float64
             report.S = math.inf
-        else:
-            report.S = (hi ** 2 / lo) * (2.0 * hi ** 2 / (om * lo ** 2) * V0
-                                         + 2.0 * (F[0] - fstar))
         report.checks.append(_check("sum_bound", ks, np.cumsum(lam_k ** 2 * sq),
                                     report.S, tol))
     else:

@@ -18,11 +18,16 @@ from .core import CompositeProblem, SmoothOracle, UsageError, Vector, as_point
 from .prox import L1, NonnegIndicator, Zero
 
 
-def rng(seed: int) -> np.random.Generator:
-    """The generator for seed; a negative seed is a UsageError."""
+def check_seed(seed: int) -> int:
+    """The seed; a negative seed is a UsageError."""
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
-    return np.random.Generator(np.random.Philox(seed))
+    return seed
+
+
+def rng(seed: int) -> np.random.Generator:
+    """The generator for seed; a negative seed is a UsageError."""
+    return np.random.Generator(np.random.Philox(check_seed(seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from adaprox import RhoSequence, SolverConfig, UsageError, monitor_check, run
 from adaprox.adaptive import RHO_NAMES, rho_total
 from adaprox.cli import cli_main
 from adaprox.harness import (
+    SOLVER_KEYS,
     TRACE_SCHEMA,
     ExperimentConfig,
     ParseError,
@@ -23,7 +24,7 @@ from adaprox.harness import (
     parse_libsvm,
     read_trace,
     run_experiment,
-    save_config,
+    solver_config,
     summary_table,
     write_libsvm,
     write_summary,
@@ -426,46 +427,60 @@ class TestConfig:
             seeds=[0, 1],
             out_dir=str(tmp_path / "out"))
 
-    def test_save_load_idempotent(self, tmp_path):
-        cfg = self.make_config(tmp_path)
-        p1 = str(tmp_path / "a.ini")
-        p2 = str(tmp_path / "b.ini")
-        save_config(cfg, p1)
-        cfg2 = load_config(p1)
-        save_config(cfg2, p2)
-        with open(p1) as f1, open(p2) as f2:
-            assert f1.read() == f2.read()
-        assert cfg2.problem == cfg.problem
-        assert cfg2.seeds == cfg.seeds
-        assert [n for n, _ in cfg2.solvers] == ["branch", "fixed"]
+    @staticmethod
+    def write_config(tmp_path, solvers: str) -> str:
+        """A quadratic config whose solver sections are ``solvers``."""
+        path = str(tmp_path / "exp.ini")
+        with open(path, "w") as fh:
+            fh.write(f"[problem]\nkind = quadratic\n[run]\nout = {tmp_path / 'out'}\n"
+                     + solvers)
+        return path
 
-    def test_default_rho_round_trips(self, tmp_path):
-        cfg = self.make_config(tmp_path)
-        cfg.solvers = [(r, SolverConfig(rho=getattr(RhoSequence, r)())) for r in RHO_NAMES]
-        path = str(tmp_path / "a.ini")
-        save_config(cfg, path)
+    @staticmethod
+    def solve_configs(monkeypatch, flags) -> list:
+        """The SolverConfigs that `adaprox solve --dim 3` with ``flags`` passes
+        to run; each run is cut to 2 iterations."""
+        configs = []
+
+        def spy(problem, x0, config, seed):
+            configs.append(config)
+            return run(problem, x0, dataclasses.replace(config, max_iters=2), seed=seed)
+
+        monkeypatch.setattr("adaprox.cli.run", spy)
+        assert cli_main(["solve", "--dim", "3", *flags]) == 0
+        return configs
+
+    def test_solver_config_without_settings_is_the_default(self):
+        assert solver_config("x", {}) == SolverConfig()
+        assert solver_config("x", {}, monitor=True) == SolverConfig(monitor=True)
+
+    def test_rho_names_load_as_their_sequences(self, tmp_path):
+        path = self.write_config(tmp_path, "".join(
+            f"[solver {r}]\nrho = {r}\n" for r in RHO_NAMES))
         back = load_config(path)
-        assert [sc.rho for _, sc in back.solvers] == [sc.rho for _, sc in cfg.solvers]
+        assert [(n, sc.rho) for n, sc in back.solvers] == [
+            (r, getattr(RhoSequence, r)()) for r in RHO_NAMES]
 
-    @pytest.mark.parametrize("rho", [RhoSequence.custom([1.0, 0.5]),
-                                     RhoSequence.rho2(rho0=5.0)], ids=["custom", "rho0"])
-    def test_unsavable_rho_rejected(self, tmp_path, rho):
-        cfg = self.make_config(tmp_path)
-        cfg.solvers = [("s", SolverConfig(rho=rho))]
-        path = str(tmp_path / "a.ini")
-        with pytest.raises(UsageError):
-            save_config(cfg, path)
-        assert not os.path.exists(path)
+    def test_empty_section_and_bare_solve_run_the_default(self, tmp_path, monkeypatch):
+        """Neither a [solver s] section without keys nor solve without solver
+        flags sets a field: both run SolverConfig()."""
+        assert load_config(self.write_config(tmp_path, "[solver s]\n")).solvers == [
+            ("s", SolverConfig())]
+        assert self.solve_configs(monkeypatch, []) == [SolverConfig()]
 
-    @pytest.mark.parametrize("flag", ["monitor"])
-    def test_unsavable_run_flags_rejected(self, tmp_path, flag):
-        # the file has no key for it, so it would read back as False
-        cfg = self.make_config(tmp_path)
-        cfg.solvers = [("s", SolverConfig(**{flag: True}))]
-        path = str(tmp_path / "a.ini")
-        with pytest.raises(UsageError, match=flag):
-            save_config(cfg, path)
-        assert not os.path.exists(path)
+    @pytest.mark.parametrize("key, flag, value", [
+        ("engine", "--solver", "adgd"), ("rho", "--rho", "rho1"),
+        ("lambda0", "--lambda0", "0.25"), ("max_iters", "--max-iters", "7"),
+        ("max_seconds", "--max-seconds", "30.5"), ("tol", "--tol", "1e-6"),
+    ])
+    def test_solve_flag_and_config_key_give_one_config(self, tmp_path, monkeypatch,
+                                                       key, flag, value):
+        assert set(SOLVER_KEYS) == {"engine", "rho", "lambda0", "max_iters",
+                                    "max_seconds", "tol"}
+        [(_, from_file)] = load_config(
+            self.write_config(tmp_path, f"[solver s]\n{key} = {value}\n")).solvers
+        assert from_file != SolverConfig()
+        assert self.solve_configs(monkeypatch, [flag, value]) == [from_file]
 
     @pytest.mark.parametrize("text", [
         "[problem]\nkind = quadratic\n[run]\nseeds = a b\n",
@@ -640,6 +655,13 @@ def test_build_problem_seed_determinism():
     assert p1.f_value(z) == p2.f_value(z)
 
 
+#: The check flags that supply every constant.
+CONSTANTS = ("--rho", "rho2", "--known-L", "1", "--fstar", "0")
+
+#: A solve problem whose run does not stop early.
+LASSO = ("lasso", "--m", "20", "--n", "10")
+
+
 class TestCli:
     def test_solve_ok(self, tmp_path, capsys):
         out = str(tmp_path / "trace.json")
@@ -664,17 +686,21 @@ class TestCli:
         assert code == 0
 
     @staticmethod
-    def check_corrupted(tmp_path, column, value) -> int:
-        """`adaprox check` on a JSON trace whose k=1 value of one column is replaced."""
+    def check_corrupted(tmp_path, column, value, flags=(), problem=("quadratic", "--dim", "3"),
+                        metadata=None) -> int:
+        """`adaprox check` with ``flags`` on a JSON trace whose k=1 value of one
+        column is replaced, or, given ``metadata``, one metadata value."""
         out = str(tmp_path / "trace.json")
-        assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
-                         "--max-iters", "25", "--out", out]) == 0
+        assert cli_main(["solve", "--problem", *problem, "--max-iters", "25", "--out", out]) == 0
         with open(out) as fh:
             payload = json.load(fh)
-        payload["columns"][column][1] = value
+        if metadata is None:
+            payload["columns"][column][1] = value
+        else:
+            payload["metadata"][metadata] = value
         with open(out, "w") as fh:
             json.dump(payload, fh)
-        return cli_main(["check", out])
+        return cli_main(["check", out, *flags])
 
     def test_check_corrupted_trace_exits_3(self, tmp_path, capsys):
         assert self.check_corrupted(tmp_path, "l_k", 50.0) == 3
@@ -683,6 +709,26 @@ class TestCli:
     def test_check_nan_observation_exits_3(self, tmp_path, capsys):
         assert self.check_corrupted(tmp_path, "F", None) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_check_rho_below_minus_one(self, tmp_path, capsys):
+        """rho_1 = -5 gives a negative omega_1 and NaN weights after it: with
+        the constants omega_lower fails (exit 3); without them it is skipped."""
+        assert self.check_corrupted(tmp_path, "rho", -5.0, problem=LASSO) == 0
+        assert "omega_lower: skipped" in capsys.readouterr().out
+        assert self.check_corrupted(tmp_path, "rho", -5.0, CONSTANTS, problem=LASSO) == 3
+        assert ("omega_lower: FAIL [25 checks, worst slack nan] (k=1:"
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("flags", [(), CONSTANTS], ids=["bare", "constants"])
+    @pytest.mark.parametrize("lam0", [0, -1.0, 0.5], ids=["zero", "negative", "not-lambda_0"])
+    def test_check_bad_lambda0_exits_2(self, tmp_path, capsys, flags, lam0):
+        """A lasso trace (lambda_0 = 1) whose metadata lambda0 is not positive
+        and finite, or not lambda_0, is refused before any check."""
+        assert self.check_corrupted(tmp_path, None, lam0, flags, metadata="lambda0",
+                                    problem=LASSO) == 2
+        captured = capsys.readouterr()
+        assert "usage error: trace lambda0 must be" in captured.err
+        assert "pass" not in captured.out and "FAIL" not in captured.out
 
     @pytest.mark.parametrize("flags", [
         ["--known-L", "0"], ["--known-L", "-1"], ["--known-L", "nan"], ["--known-L", "inf"],
@@ -748,10 +794,15 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["solve", "--seed", "-1", "--max-iters", "3"],
         ["gen", "--seed", "-1", "--out", "d.libsvm"],
-    ], ids=["solve", "gen"])
+        ["solve", "--problem", "logistic", "--data", "data.libsvm", "--seed", "-1",
+         "--max-iters", "3", "--out", "t.json"],
+    ], ids=["solve", "gen", "solve-data"])
     def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        """Also with a data file, which seeds no generator."""
         monkeypatch.chdir(tmp_path)
+        assert cli_main(["gen", "--m", "20", "--n", "3", "--out", "data.libsvm"]) == 0
         assert cli_main(argv) == 2
+        assert not (tmp_path / "t.json").exists()
         err = capsys.readouterr().err
         assert "usage error: seed must be non-negative, got -1" in err
         assert not (tmp_path / "d.libsvm").exists()

@@ -3,11 +3,10 @@
 import shlex
 from pathlib import Path
 
-import pytest
-
 from adaprox.cli import cli_main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_commands():
@@ -20,10 +19,13 @@ def readme_commands():
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
-    """solve, check and gen in order; bench needs a config file the repo lacks."""
+    """solve, check, bench and gen in order, in a scratch directory; a path
+    under scripts/ names the repo's file, and bench writes under the scratch
+    directory."""
     commands = readme_commands()
     assert [argv[0] for argv in commands] == ["solve", "check", "bench", "gen"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        if argv[0] != "bench":
-            assert cli_main(argv) == 0, argv
+        argv = [str(ROOT / a) if a.startswith("scripts/") else a for a in argv]
+        assert cli_main(argv) == 0, argv
+    assert (tmp_path / "nmf_grid_out" / "summary.json").exists()

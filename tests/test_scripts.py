@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, args", [
     ("run_logistic_monitor.py", ["--seeds", "1", "--iters", "50", "--m", "40", "--n", "5"]),
-    ("run_nmf_grid.py", ["--seeds", "1", "--n", "10", "--r", "2", "--m", "12"]),
 ])
 def test_script_runs(script, args):
     proc = run_script(script, args)

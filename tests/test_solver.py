@@ -520,6 +520,50 @@ class TestMonitorIntegration:
         for name, k in failures.items():
             assert rep.check(name).first_failure[0] == k, name
 
+    @pytest.mark.parametrize("lam0", [1e155, 1e300, 1e-170])
+    def test_extreme_lambda0_gives_a_report(self, lam0):
+        """A square of lam0 that overflows (1e155, 1e300) or underflows to 0
+        (1e-170) still gives the monitor's report, not an ArithmeticError."""
+        p = quadratic_problem(np.linspace(0.1, 1, 5))
+        for rho in (RhoSequence.rho2(), RhoSequence.custom([0.1, 0.1])):
+            res = run(p, np.ones(5), SolverConfig(lambda0=lam0, rho=rho, max_iters=50,
+                                                  monitor=True))
+            assert res.report is not None and res.report.passed
+            lo = min(lam0, 0.5)
+            assert res.report.omega_lower == (lo / lam0) ** 2 * math.exp(-1.5 * rho_total(rho))
+
+    def test_sum_bound_past_float64_is_inf(self):
+        """hi = lam0 exp(P/2) whose square overflows, with omega_lower > 0: S
+        is inf, which the running sum meets."""
+        init = IterationRecord(0, 1.0, 1.0, 1.0, 1e155, math.nan, math.nan, math.nan, 0.0, 1, 1, 1)
+        rec = IterationRecord(1, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.1, 0.0, 2, 2, 2)
+        trace = Trace("t", "adapgnc", 1e155, init, [rec], residual_sq=np.array([1.0]))
+        rep = monitor_check(trace, None, 0.2, fstar=0.0, known_L=1e-160)
+        assert rep.omega_lower == math.exp(-0.3) and rep.S == math.inf
+        assert rep.check("sum_bound").passed
+
+    @pytest.mark.parametrize("lam0", [0.0, -1.0, math.nan, math.inf, 2.0])
+    def test_bad_trace_lambda0_refused(self, lam0):
+        """A lambda0 that is not positive and finite, or not the k=0 record's
+        lambda (1.0 here), is a UsageError, with or without constants."""
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+        res = run(p, np.ones(3), SolverConfig(engine="adapgnc", max_iters=10))
+        res.trace.lambda0 = lam0
+        for args in ((), (p, rho_total(RhoSequence.rho2()))):
+            with pytest.raises(UsageError, match="lambda0"):
+                monitor_check(res.trace, *args)
+
+    def test_rho_below_minus_one_gives_negative_then_nan_weights(self):
+        """1 + rho_1 = -4 makes omega_1 negative; sqrt(1 + rho_1) has no real
+        root, so omega_2 and the weights after it are NaN."""
+        recs = [IterationRecord(k, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, rho, 0.0, 0, 0, 0)
+                for k, rho in [(1, -5.0), (2, 0.0), (3, 0.0)]]
+        init = IterationRecord(0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
+        with np.errstate(invalid="ignore"):
+            omega = lyapunov_weights(Trace("t", "adapgnc", 1.0, init, recs))
+        assert omega[:2].tolist() == [1.0, -0.25]
+        assert np.isnan(omega[2:]).all()
+
     def test_complexity_bound_failure_path(self):
         # a reference optimum above F(x_0) makes V_0 negative
         p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
