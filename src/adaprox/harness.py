@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import configparser
 import json
 import math
@@ -289,29 +290,30 @@ def write_libsvm(design: SparseDesign, stream) -> None:
 # ---------------------------------------------------------------------------
 # Trace persistence
 
-#: The persisted trace columns: (column, IterationRecord field, type), in the
+#: The persisted trace columns: (column, IterationRecord field, dtype), in the
 #: record's field order, so that the reader builds records from the columns
-#: positionally.
+#: positionally. Each column is stored as the base64 of its values' bytes in
+#: that NumPy dtype: little-endian int64 for the counters, float64 otherwise.
 TRACE_SCHEMA = (
-    ("k", "k", int),
-    ("f", "f_value", float),
-    ("F", "F_value", float),
-    ("gradmap_norm", "gradmap_norm", float),
-    ("lambda", "lam", float),
-    ("L_k", "L_k", float),
-    ("l_k", "l_k", float),
-    ("rho", "rho_used", float),
-    ("elapsed_s", "elapsed_seconds", float),
-    ("n_value", "n_value", int),
-    ("n_grad", "n_gradient", int),
-    ("n_prox", "n_prox", int),
+    ("k", "k", "<i8"),
+    ("f", "f_value", "<f8"),
+    ("F", "F_value", "<f8"),
+    ("gradmap_norm", "gradmap_norm", "<f8"),
+    ("lambda", "lam", "<f8"),
+    ("L_k", "L_k", "<f8"),
+    ("l_k", "l_k", "<f8"),
+    ("rho", "rho_used", "<f8"),
+    ("elapsed_s", "elapsed_seconds", "<f8"),
+    ("n_value", "n_value", "<i8"),
+    ("n_grad", "n_gradient", "<i8"),
+    ("n_prox", "n_prox", "<i8"),
 )
 
 #: The layout of a trace file, written as its metadata "version".
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
-#: The strings that stand for the infinities in a float column.
-_INFINITIES = {"inf": math.inf, "-inf": -math.inf}
+#: The metadata "dtypes" map: each column's NumPy dtype string.
+TRACE_DTYPES = {c: dt for c, _, dt in TRACE_SCHEMA}
 
 
 def _json_float(v: float):
@@ -323,12 +325,13 @@ def _json_float(v: float):
 
 
 def write_trace(trace: Trace, fmt: str, path: str) -> None:
-    """Persist a trace as one strict JSON object: the run metadata and one
-    array per TRACE_SCHEMA column, k = 0 first. ``fmt`` must be "json".
+    """Persist a trace as one strict JSON object: the run metadata, with the
+    layout version and the columns' dtypes, and one base64 string per
+    TRACE_SCHEMA column, holding its values' raw bytes, k = 0 first. ``fmt``
+    must be "json".
 
-    Each column is gathered from the records and encoded by its own
-    json.dumps call, which bounds the writer's memory at one column's
-    encoding; one call for the whole file would hold all of them at once."""
+    Each column is gathered from the records and encoded on its own, which
+    bounds the writer's memory at one column's encoding."""
     if fmt != "json":
         raise UsageError(f"unknown trace format {fmt!r}")
     metadata = {
@@ -338,24 +341,26 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
         "termination": trace.termination,
         "lambda0": trace.lambda0,
         "version": TRACE_VERSION,
+        "dtypes": TRACE_DTYPES,
     }
     records = trace.all_records()
-    with open(path, "w") as fh:
-        fh.write('{"metadata": ' + json.dumps(metadata, allow_nan=False) + ', "columns": {')
-        sep = "\n"
-        for c, f, t in TRACE_SCHEMA:
-            values = list(map(attrgetter(f), records))
-            # a finite sum means every value is finite
-            if t is float and not math.isfinite(sum(values)):
-                values = list(map(_json_float, values))
-            fh.write(f'{sep}"{c}": ' + json.dumps(values, allow_nan=False))
-            sep = ",\n"
-        fh.write("\n}}\n")
+    with open(path, "wb") as fh:
+        fh.write(b'{"metadata": ' + json.dumps(metadata, allow_nan=False).encode()
+                 + b', "columns": {')
+        sep = b"\n"
+        for c, f, dt in TRACE_SCHEMA:
+            values = np.fromiter(map(attrgetter(f), records), dt, len(records))
+            fh.write(sep + f'"{c}": "'.encode())
+            fh.write(base64.b64encode(values.tobytes()))
+            fh.write(b'"')
+            sep = b",\n"
+        fh.write(b"\n}}\n")
 
 
 #: The trace metadata: (key, test of its JSON value, what the test asks).
 _METADATA = (
     ("version", lambda v: type(v) is int and v == TRACE_VERSION, f"{TRACE_VERSION}"),
+    ("dtypes", lambda v: v == TRACE_DTYPES, f"{TRACE_DTYPES}"),
     ("solver", lambda v: v in ENGINES, f"one of {ENGINES}"),
     ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
     ("problem", lambda v: type(v) is str, "a string"),
@@ -368,35 +373,27 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not RFC 8259 JSON")
 
 
-def _column_value(name: str, v, t):
-    """One value of a column of type ``t``: in a float column an integer reads
-    as a float, null as NaN and "inf"/"-inf" as ±inf; nothing else is coerced."""
-    if type(v) is t:
-        return v
-    if t is float:
-        if v is None:
-            return math.nan
-        if type(v) is int:
-            return float(v)
-        if type(v) is str and v in _INFINITIES:
-            return _INFINITIES[v]
-    raise ValueError(f"column {name!r} holds {v!r}, not "
-                     + ("a JSON integer" if t is int else 'a JSON number, null, "inf" or "-inf"'))
-
-
-def _read_column(name: str, values, t) -> list:
-    """A column's JSON array as a list of values of type ``t``."""
-    if type(values) is not list:
-        raise ValueError(f"column {name!r} is not an array")
-    if set(map(type, values)) <= {t}:
-        return values
-    return [_column_value(name, v, t) for v in values]
+def _read_column(name: str, text, dtype: str) -> list:
+    """A column's base64 string as the list of its values, bit for bit."""
+    if type(text) is not str:
+        raise ValueError(f"column {name!r} is not a string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise ValueError(f"column {name!r} is not base64: {exc}") from None
+    if len(raw) % 8:
+        raise ValueError(f"column {name!r} holds {len(raw)} bytes, not a multiple of 8")
+    return np.frombuffer(raw, dtype).tolist()
 
 
 def read_trace(path: str) -> Trace:
     """Load a JSON trace. A file that is not such a trace, with every metadata
-    key present and of its type and every column an array of its type, all of
-    one length, is a UsageError naming it."""
+    key present and of its type, the current version and dtypes among them,
+    and every column a base64 string of whole values, all of one length, is a
+    UsageError naming it.
+
+    Each column's string is dropped as it is decoded, so the file's text and
+    the decoded values are not all held at once."""
     try:
         with open(path) as fh:
             payload = json.load(fh, parse_constant=_reject_constant)
@@ -405,7 +402,7 @@ def read_trace(path: str) -> Trace:
             if not ok(meta[key]):
                 raise ValueError(f"metadata {key!r} holds {meta[key]!r}, not {what}")
         columns = payload["columns"]
-        cols = [_read_column(c, columns[c], t) for c, _, t in TRACE_SCHEMA]
+        cols = [_read_column(c, columns.pop(c), dt) for c, _, dt in TRACE_SCHEMA]
         if len(set(map(len, cols))) > 1:
             raise ValueError("columns of unequal length: " + ", ".join(
                 f"{c} {len(v)}" for (c, _, _), v in zip(TRACE_SCHEMA, cols)))

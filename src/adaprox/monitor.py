@@ -5,6 +5,7 @@ Checks are reported under these names, in this order:
 
   fstar_free_descent         weighted objective + displacement decrease
   step_condition             lam^2 L^2 + (lam^2/lam_prev) l <= 1
+  growth_cap                 lam_k <= sqrt(1 + rho_{k-1}) lam_{k-1}
   step_bounds                min(lam0, 1/(2L)) <= lam_k <= lam0 exp(P/2)
   omega_lower                recursion weights stay above their proven floor
   lyapunov_descent           V_k descent
@@ -157,8 +158,8 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
 
     The tolerance at k is 1e-9 * (1 + |F(x_{k-1})|), with two exceptions: the
     step condition, whose right-hand side is the constant 1, gets 1e-9; the
-    bounds on lam_k and omega_k get 1e-12 * max(1, bound), or max(1, lam0)
-    for lam_upper.
+    growth cap and the bounds on lam_k and omega_k get 1e-12 * max(1, bound),
+    or max(1, lam0) for lam_upper.
     Only traces of the branch-rule engines are accepted; other engines carry
     no such guarantees. A known_L that is not positive and finite, an
     fstar that is not finite, or a trace whose lambda0 is not positive and
@@ -201,6 +202,12 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     report.checks.append(_check(
         "step_condition", ks, lam_k ** 2 * L_k ** 2 + (lam_k ** 2 / lam_p) * l_k,
         1.0, 1e-9))
+
+    # (b') the growth cap both rules take the min with, rho_{k-1} being record
+    # k's rho_used. The replay forms the rules' own IEEE product, so an
+    # unaltered trace meets it exactly; it needs no constants.
+    cap = np.sqrt(1.0 + column(recs, "rho_used")) * lam_p
+    report.checks.append(_check("growth_cap", ks, lam_k, cap, 1e-12 * np.maximum(1.0, cap)))
 
     # (c) two-sided step bounds; needs a certified L and the rho total P.
     if have_consts:

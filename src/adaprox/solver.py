@@ -68,7 +68,7 @@ class SolverConfig:
             raise UsageError("gradmap_tol must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     f_value: float
@@ -150,8 +150,8 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     """Take the lambda0 prox step from x0 (record k = 0), then one engine step
     per iteration until the first of: gradient-mapping tolerance, iteration
     cap, wall-clock budget, stagnation (a fixed point, reported as success),
-    or a non-finite f_k or ||G_k|| (a failure; that record is not kept, and
-    x_final is its iterate).
+    or a non-finite f_k or ||G_k|| (a failure; that record is not kept, but
+    for k = 0, and x_final is its iterate).
 
     Only the last kept record carries its x and grad. With the monitor on and
     the problem's known_L and known_fstar both set, sum_bound's residuals are
@@ -189,8 +189,13 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     best_F, best_x = rec.F_value, x  # no iterate is changed in place; copied once below
     x_rec, grad_rec = x, grad  # the x and grad of the last kept record
     termination = "max_iters"
+    # the loop's test of every later record; a non-finite k = 0 step keeps its
+    # record, which a trace needs, and ends the run on x_final = x0
+    finite = math.isfinite(rec.f_value) and math.isfinite(rec.gradmap_norm)
+    if not finite:
+        termination, x = "non_finite", x.copy()
 
-    for k in itertools.count(1):
+    for k in (itertools.count(1) if finite else ()):
         x_prev, x = x, x_next  # x_k, the prox step of the kept record k - 1
         if rec.gradmap_norm <= config.gradmap_tol:
             termination = "tol"

@@ -1,8 +1,10 @@
+import base64
 import dataclasses
 import io
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
 
@@ -42,18 +44,42 @@ FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_inf
 
 
 def identical(a, b) -> bool:
-    """Values of one type and equal; floats of one sign too, or both NaN."""
+    """Values of one type and equal; floats bit for bit, so of one sign and,
+    for NaN, of one sign and payload."""
     if type(a) is not type(b):
         return False
-    if type(a) is float and math.isnan(a):
-        return math.isnan(b)
-    return a == b and (type(a) is not float or math.copysign(1.0, a) == math.copysign(1.0, b))
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def from_bits(bits: int) -> float:
+    """The float64 whose IEEE 754 bits are ``bits``."""
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
 
 
 def without_elapsed(blob: bytes) -> bytes:
-    """A trace file's bytes with the elapsed_s array cut out."""
-    start = blob.index(b'"elapsed_s": [')
-    return blob[:start] + blob[blob.index(b"]", start):]
+    """A trace file's bytes with the elapsed_s column's string cut out."""
+    key = b'"elapsed_s": "'
+    start = blob.index(key, blob.index(b'"columns"')) + len(key)
+    return blob[:start] + blob[blob.index(b'"', start):]
+
+
+def decode_column(payload, name) -> np.ndarray:
+    """A column of a trace file's JSON payload, decoded by its metadata dtype."""
+    dtype = payload["metadata"]["dtypes"][name]
+    return np.frombuffer(base64.b64decode(payload["columns"][name]), dtype)
+
+
+def encode_column(values: np.ndarray) -> str:
+    return base64.b64encode(values.tobytes()).decode("ascii")
+
+
+def edit_column(payload, name, i, value) -> None:
+    """Set the i-th value of one column of the payload: decode, edit, re-encode."""
+    values = decode_column(payload, name).copy()
+    values[i] = value
+    payload["columns"][name] = encode_column(values)
 
 
 class TestLibsvm:
@@ -148,9 +174,10 @@ class TestLibsvm:
 
 def row_major(payload):
     """A trace payload in the layout before format version 2: one object per
-    record, and no version."""
-    meta = {k: v for k, v in payload["metadata"].items() if k != "version"}
-    cols = payload["columns"]
+    record, and neither version nor dtypes."""
+    meta = {k: v for k, v in payload["metadata"].items() if k not in ("version", "dtypes")}
+    cols = {c: [v if math.isfinite(v) else None for v in decode_column(payload, c).tolist()]
+            for c in payload["columns"]}
     return {"metadata": meta, "records": [dict(zip(cols, row)) for row in zip(*cols.values())]}
 
 
@@ -158,16 +185,24 @@ def with_layout_fault(payload, case):
     """The trace payload with the layout fault named by ``case``."""
     meta, cols = payload["metadata"], payload["columns"]
     if case == "unequal_length":
-        cols["F"].pop()
-    elif case == "column_not_array":
-        cols["lambda"] = 0.5
+        cols["F"] = encode_column(decode_column(payload, "F")[:-1])
+    elif case == "column_not_string":  # the version-2 layout of a column
+        cols["lambda"] = decode_column(payload, "lambda").tolist()
+    elif case == "non_base64":
+        cols["lambda"] = "!" + cols["lambda"][1:]
+    elif case == "partial_value":
+        cols["F"] = base64.b64encode(base64.b64decode(cols["F"])[:-4]).decode("ascii")
+    elif case == "no_dtypes":
+        del meta["dtypes"]
+    elif case == "big_endian_dtypes":
+        meta["dtypes"] = dict(meta["dtypes"], f=">f8")
     elif case == "no_version":
         del meta["version"]
     elif case.startswith("version="):
         meta["version"] = json.loads(case[len("version="):])
     elif case == "row_major":
         return row_major(payload)
-    else:  # row-major records under version-2 metadata
+    else:  # row-major records under version-3 metadata
         return dict(row_major(payload), metadata=meta)
     return payload
 
@@ -232,12 +267,11 @@ class TestTracePersistence:
 
         with open(path) as fh:
             payload = json.loads(fh.read(), parse_constant=reject)
-        assert payload["columns"]["L_k"][0] is None
+        assert math.isnan(decode_column(payload, "L_k")[0])
         back = read_trace(path)
         for a, b in zip(res.trace.all_records(), back.all_records()):
             for field in ("L_k", "l_k", "rho_used"):
-                av, bv = getattr(a, field), getattr(b, field)
-                assert av == bv or (math.isnan(av) and math.isnan(bv))
+                assert identical(getattr(a, field), getattr(b, field)), (a.k, field)
         assert math.isnan(back.init.L_k) and math.isnan(back.init.rho_used)
 
     def test_unknown_format_rejected(self, tmp_path):
@@ -293,13 +327,16 @@ class TestTracePersistence:
             "bool_seed", "float_seed"])
     def test_json_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, where, key, value):
         """Each JSON value must be of its key's type, never coerced; the engine
-        and the termination must be ones the solver has."""
+        and the termination must be ones the solver has. A column must be a
+        base64 string of whole 8-byte values: a number, boolean or null in its
+        place is not a string, "0.5" and "inf" are not base64, and "Infinity"
+        decodes to 6 bytes."""
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
         with open(path) as fh:
             payload = json.load(fh)
         if where == "columns":
-            payload["columns"][key][1] = value
+            payload["columns"][key] = value
         else:
             payload["metadata"][key] = value
         with open(path, "w") as fh:
@@ -309,7 +346,8 @@ class TestTracePersistence:
         assert cli_main(["check", path]) == 2
         assert "t.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["solver", "seed", "problem", "termination", "lambda0"])
+    @pytest.mark.parametrize("key", ["solver", "seed", "problem", "termination", "lambda0",
+                                     "dtypes"])
     def test_json_missing_metadata_key_is_usage_error(self, tmp_path, capsys, key):
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
@@ -338,19 +376,25 @@ class TestTracePersistence:
 
     @pytest.mark.parametrize("case, message", [
         ("unequal_length", "columns of unequal length"),
-        ("column_not_array", "column 'lambda' is not an array"),
+        ("column_not_string", "column 'lambda' is not a string"),
+        ("non_base64", "column 'lambda' is not base64"),
+        ("partial_value", r"column 'F' holds \d+ bytes, not a multiple of 8"),
+        ("no_dtypes", "lacks 'dtypes'"),
+        ("big_endian_dtypes", "'dtypes' holds"),
         ("no_version", "lacks 'version'"),
-        ("version=1", "'version' holds 1, not 2"),
-        ("version=3", "'version' holds 3, not 2"),
-        ("version=2.0", "'version' holds 2.0, not 2"),
+        ("version=1", "'version' holds 1, not 3"),
+        ("version=2", "'version' holds 2, not 3"),
+        ("version=4", "'version' holds 4, not 3"),
+        ("version=3.0", "'version' holds 3.0, not 3"),
         ("row_major", "lacks 'version'"),
         ("row_major_version_2", "lacks 'columns'"),
-    ], ids=["unequal_length", "column_not_array", "no_version", "version_1", "version_3",
-            "float_version", "row_major", "row_major_version_2"])
+    ], ids=["unequal_length", "column_not_string", "non_base64", "partial_value",
+            "no_dtypes", "big_endian_dtypes", "no_version", "version_1", "version_2",
+            "version_4", "float_version", "row_major", "row_major_version_2"])
     def test_json_layout_error_is_usage_error(self, tmp_path, capsys, case, message):
-        """A file that is not one array per column, all of one length, under
-        metadata of format version 2 is refused; no reader takes the
-        row-major layout."""
+        """A file that is not one base64 string of whole values per column, all
+        of one length, under metadata of format version 3 with its dtypes is
+        refused; no reader takes the row-major layout or version 2's arrays."""
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
         with open(path) as fh:
@@ -365,12 +409,16 @@ class TestTracePersistence:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_round_trip_is_lossless(self, data):
-        """Every value reads back identical, the non-finite floats included."""
-        floats = st.sampled_from(FLOAT_EDGES) | st.floats()
-        ints = st.integers(-2**63, 2**63 - 1)
+        """Every value reads back bit for bit: the non-finite floats, a NaN's
+        sign and payload, and int64's extremes included."""
+        nans = st.builds(lambda sign, payload: from_bits(sign << 63 | 0x7FF << 52 | payload),
+                         st.integers(0, 1), st.integers(1, 2**52 - 1))
+        floats = (st.sampled_from(FLOAT_EDGES) | st.floats() | nans
+                  | st.integers(0, 2**64 - 1).map(from_bits))
+        ints = st.sampled_from([-2**63, 2**63 - 1]) | st.integers(-2**63, 2**63 - 1)
         n = data.draw(st.integers(1, 5))
-        cols = {f: data.draw(st.lists(ints if t is int else floats, min_size=n, max_size=n))
-                for _, f, t in TRACE_SCHEMA}
+        cols = {f: data.draw(st.lists(ints if dt == "<i8" else floats, min_size=n, max_size=n))
+                for _, f, dt in TRACE_SCHEMA}
         cols["k"][0] = 0
         init, *records = [IterationRecord(**dict(zip(cols, row))) for row in zip(*cols.values())]
         trace = Trace(problem_name="p", engine="adapgnc", lambda0=data.draw(floats.filter(
@@ -405,17 +453,6 @@ class TestTracePersistence:
         assert ({c.name: c.passed for c in replay.checks}
                 == {c.name: c.passed for c in live.report.checks})
         assert cli_main(["check", path]) == 0
-
-    def test_json_integer_in_float_column_reads_as_float(self, tmp_path):
-        path = str(tmp_path / "t.json")
-        write_trace(small_result().trace, "json", path)
-        with open(path) as fh:
-            payload = json.load(fh)
-        payload["columns"]["f"][1] = 2
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        back = read_trace(path)
-        assert type(back.records[0].f_value) is float and back.records[0].f_value == 2.0
 
 
 class TestConfig:
@@ -695,7 +732,7 @@ class TestCli:
         with open(out) as fh:
             payload = json.load(fh)
         if metadata is None:
-            payload["columns"][column][1] = value
+            edit_column(payload, column, 1, value)
         else:
             payload["metadata"][metadata] = value
         with open(out, "w") as fh:
@@ -707,14 +744,18 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
 
     def test_check_nan_observation_exits_3(self, tmp_path, capsys):
-        assert self.check_corrupted(tmp_path, "F", None) == 3
+        assert self.check_corrupted(tmp_path, "F", math.nan) == 3
         assert "FAIL" in capsys.readouterr().out
 
     def test_check_rho_below_minus_one(self, tmp_path, capsys):
-        """rho_1 = -5 gives a negative omega_1 and NaN weights after it: with
-        the constants omega_lower fails (exit 3); without them it is skipped."""
-        assert self.check_corrupted(tmp_path, "rho", -5.0, problem=LASSO) == 0
-        assert "omega_lower: skipped" in capsys.readouterr().out
+        """rho_1 = -5 leaves the growth cap sqrt(1 + rho_1) lambda_0 no root,
+        which fails growth_cap at k=1 with or without constants (exit 3). It
+        also gives a negative omega_1 and NaN weights after it: with the
+        constants omega_lower fails; without them it is skipped."""
+        assert self.check_corrupted(tmp_path, "rho", -5.0, problem=LASSO) == 3
+        out = capsys.readouterr().out
+        assert "growth_cap: FAIL [25 checks, worst slack nan] (k=1:" in out
+        assert "omega_lower: skipped" in out
         assert self.check_corrupted(tmp_path, "rho", -5.0, CONSTANTS, problem=LASSO) == 3
         assert ("omega_lower: FAIL [25 checks, worst slack nan] (k=1:"
                 in capsys.readouterr().out)
@@ -780,6 +821,11 @@ class TestCli:
     def test_solve_rejects_problem_keys_kind_does_not_read(self, capsys, argv):
         assert cli_main(["solve", "--max-iters", "3"] + argv) == 2
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_solve_non_finite_first_step_exits_1(self, capsys):
+        with np.errstate(over="ignore"):
+            assert cli_main(["solve", "--lambda0", "1e155"]) == 1
+        assert "terminated by non_finite after 0 iterations" in capsys.readouterr().out
 
     def test_solve_logistic_m_beside_data_exits_2(self, tmp_path, capsys):
         data = str(tmp_path / "d.libsvm")

@@ -3,7 +3,12 @@
 import shlex
 from pathlib import Path
 
+import numpy as np
+
+from adaprox import SolverConfig, run
 from adaprox.cli import cli_main
+from adaprox.harness import TRACE_SCHEMA, write_trace
+from adaprox.problems import quadratic_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -29,3 +34,21 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         argv = [str(ROOT / a) if a.startswith("scripts/") else a for a in argv]
         assert cli_main(argv) == 0, argv
     assert (tmp_path / "nmf_grid_out" / "summary.json").exists()
+
+
+def test_readme_trace_table_recipe_runs(tmp_path, monkeypatch):
+    """The Traces section's Python block, run as written, loads every column
+    of a trace file in its dtype and bit for bit, without adaprox."""
+    text = README.read_text()
+    block = text[text.index("```python", text.index("To load a column as a table")):]
+    block = block[len("```python"):block.index("```", len("```python"))]
+    monkeypatch.chdir(tmp_path)
+    result = run(quadratic_problem([0.5, 1.0, 2.0]), np.ones(3), SolverConfig(max_iters=5))
+    write_trace(result.trace, "json", "t.json")
+    scope = {}
+    exec(block, scope)
+    records = result.trace.all_records()
+    for c, f, dtype in TRACE_SCHEMA:
+        expected = np.array([getattr(r, f) for r in records], dtype)
+        assert scope["table"][c].dtype == expected.dtype, c
+        assert scope["table"][c].tobytes() == expected.tobytes(), c

@@ -261,6 +261,18 @@ def test_non_finite_oracle_ends_run(nan_problem, engine, which):
     assert np.array_equal(res.x_final, ref.x_final)
 
 
+def test_non_finite_first_step_ends_run():
+    """A lambda0 prox step whose ||G_0|| overflows ends the run as non_finite,
+    keeping the k = 0 record, with x_final = x0."""
+    x0 = np.ones(5)
+    with np.errstate(over="ignore"):
+        res = run(quadratic_problem(np.linspace(0.1, 1, 5)), x0,
+                  SolverConfig(lambda0=1e155, max_iters=50))
+    assert res.termination == "non_finite"
+    assert res.trace.records == [] and res.trace.init.gradmap_norm == math.inf
+    assert np.array_equal(res.x_final, x0) and res.x_final is not x0
+
+
 def test_determinism_bit_identical_traces():
     A, b, w = lasso_synthetic(10, 4, seed=3)
     args = dict(engine="adapgnc", lambda0=0.01, max_iters=30)
@@ -499,7 +511,7 @@ class TestMonitorIntegration:
     @pytest.mark.parametrize("field, change, failures", [
         ("F_value", lambda v: v + 1.0, {"fstar_free_descent": 5, "lyapunov_descent": 5}),
         ("lam", lambda v: 1e-9, {"step_bounds": 5, "omega_lower": 5, "sum_bound": 6}),
-        ("lam", lambda v: 1e3, {"complexity_bound_realized": 5}),
+        ("lam", lambda v: 1e3, {"complexity_bound_realized": 5, "growth_cap": 5}),
     ], ids=["F+1", "lam=1e-9", "lam=1e3"])
     def test_each_check_has_a_failure_path(self, field, change, failures):
         # corrupt the record for k=5 of a run whose bounds are not vacuous
