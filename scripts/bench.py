@@ -10,12 +10,13 @@ in DIR and in this checkout, one run at a time: the base first in even pairs,
 the change first in odd ones. Giving this checkout as DIR measures the noise
 (an A/A run).
 
-The output holds every run (its metrics, ``correct``, ``attempted``,
-``failed`` and the input-0 trace hash it prints) and, per workload and
-end-to-end metric, each side's values, median and quartiles, the wins of each
-side and the verdict ``claim``: the change is better in at least 9 of 10
-pairs and its median is better than the base's by more than the base's
-interquartile range. The verdict is reported, not enforced.
+The output holds each side's ``src_lines`` (the ``wc -l src/adaprox/*.py``
+total), every run (its metrics, ``correct``, ``attempted``, ``failed`` and the
+input-0 trace hash it prints) and, per workload and end-to-end metric, each
+side's values, median and quartiles, the wins of each side and the verdict
+``claim``: the change is better in at least 9 of 10 pairs and its median is
+better than the base's by more than the base's interquartile range. The
+verdict is reported, not enforced.
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: m["value"] for k, m in out["metrics"].items()}}
 
 
+def src_lines(checkout: Path) -> int:
+    """The line count of ``checkout``'s library, as the total of
+    ``wc -l src/adaprox/*.py``: the newlines of each file."""
+    return sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "adaprox").glob("*.py"))
+
+
 def summary(values: list) -> dict:
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                  if len(values) > 1 else values * 3)
@@ -95,6 +102,7 @@ def main(argv=None) -> int:
     report = {"base": str(sides["base"]), "change": str(ROOT), "pairs": args.pairs,
               "seconds": args.seconds, "seed0": args.seed0,
               "host": {"cpus": os.cpu_count(), "loadavg_at_start": os.getloadavg()},
+              "src_lines": {side: src_lines(path) for side, path in sides.items()},
               "workloads": {}}
     for workload in args.workload:
         runs = []

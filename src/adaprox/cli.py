@@ -36,38 +36,13 @@ EXIT_USAGE = 2
 EXIT_MONITOR = 3
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    # each SOLVER_KEYS key, None when not given, so that SolverConfig sets the default
-    p.add_argument("--solver", dest="engine", choices=ENGINES)
-    p.add_argument("--rho", choices=RHO_NAMES)
-    p.add_argument("--lambda0", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--max-seconds", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--monitor", action="store_true")
-
-
-#: solve's problem flags besides --problem, each a PROBLEM_KEYS key: {flag: type}.
-PROBLEM_FLAGS = {"data": str, "m": int, "n": int, "p": int, "q": int, "r": int,
-                 "dim": int, "nobs": int, "gamma": float}
-
-
-def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", default="quadratic", choices=PROBLEM_KEYS)
-    for key, kind in PROBLEM_FLAGS.items():
-        p.add_argument(f"--{key}", type=kind,
-                       help="LIBSVM file for the logistic problem" if key == "data" else None)
+#: solve's problem flags besides --problem, each a PROBLEM_KEYS key.
+PROBLEM_FLAGS = ("data", "m", "n", "p", "q", "r", "dim", "nobs", "gamma")
 
 
 def _given(args, keys) -> dict:
     """The flags among ``keys`` that were given, as {key: value}."""
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-
-
-def _problem_spec(args) -> dict:
-    return {"kind": args.problem,
-            **{key: str(val) for key, val in _given(args, PROBLEM_FLAGS).items()}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,8 +53,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="run one solver on one problem",
                         allow_abbrev=False)
-    _add_problem_flags(ps)
-    _add_solver_flags(ps)
+    # each problem and solver flag holds the string a config file holds, None
+    # when not given, read by problem_params and solver_config alike
+    ps.add_argument("--problem", default="quadratic", choices=PROBLEM_KEYS)
+    for key in PROBLEM_FLAGS:
+        ps.add_argument(f"--{key}",
+                        help="LIBSVM file for the logistic problem" if key == "data" else None)
+    for key in SOLVER_KEYS:
+        ps.add_argument("--solver" if key == "engine" else "--" + key.replace("_", "-"),
+                        dest=key, choices={"engine": ENGINES, "rho": RHO_NAMES}.get(key))
+    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--monitor", action="store_true")
     ps.add_argument("--out", help="trace output path")
 
     pb = sub.add_parser("bench", help="run an experiment grid from a config file",
@@ -97,8 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         allow_abbrev=False)
     # only the logistic kind reads a data file (solve --data), so gen writes no other
     pg.add_argument("--problem", default="logistic", choices=("logistic",))
-    pg.add_argument("--m", type=int, default=200)
-    pg.add_argument("--n", type=int, default=20)
+    for key in ("m", "n"):
+        read, default = PROBLEM_KEYS["logistic"][key]
+        pg.add_argument(f"--{key}", type=read, default=default)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", required=True)
     return ap
@@ -106,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     config = solver_config("solve", _given(args, SOLVER_KEYS), monitor=args.monitor)
-    problem, x0 = build_problem(_problem_spec(args), args.seed)
+    problem, x0 = build_problem({"kind": args.problem, **_given(args, PROBLEM_FLAGS)},
+                                args.seed)
     result = run(problem, x0, config, seed=args.seed)
     trace = result.trace
     print(f"{problem.name}: {config.engine} terminated by {trace.termination} "

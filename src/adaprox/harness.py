@@ -33,7 +33,7 @@ from .problems import (
     quadratic_problem,
     rng,
 )
-from .solver import ENGINES, TERMINATIONS, IterationRecord, RunResult, SolverConfig, Trace, run
+from .solver import ENGINES, TERMINATIONS, IterationRecord, SolverConfig, Trace, run
 
 
 class ParseError(UsageError):
@@ -343,10 +343,12 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
         "version": TRACE_VERSION,
         "dtypes": TRACE_DTYPES,
     }
+    # encoded before the file is opened, so that metadata strict JSON cannot
+    # hold, such as a lambda0 of inf, raises with an existing file unchanged
+    head = b'{"metadata": ' + json.dumps(metadata, allow_nan=False).encode() + b', "columns": {'
     records = trace.all_records()
     with open(path, "wb") as fh:
-        fh.write(b'{"metadata": ' + json.dumps(metadata, allow_nan=False).encode()
-                 + b', "columns": {')
+        fh.write(head)
         sep = b"\n"
         for c, f, dt in TRACE_SCHEMA:
             values = np.fromiter(map(attrgetter(f), records), dt, len(records))
@@ -448,11 +450,18 @@ SOLVER_KEYS = {
 
 def solver_config(where: str, settings, monitor: bool = False) -> SolverConfig:
     """The validated SolverConfig of ``settings``, a mapping of SOLVER_KEYS
-    keys to values; a key not given keeps SolverConfig's default. An unknown
-    key is a UsageError naming ``where``."""
+    keys to values, each read by its key's reader; a key not given keeps
+    SolverConfig's default. An unknown key, or a value its reader refuses, is
+    a UsageError naming ``where``."""
     _reject_unknown(where, settings, SOLVER_KEYS)
-    config = SolverConfig(monitor=monitor, **{
-        SOLVER_KEYS[key][0]: SOLVER_KEYS[key][1](value) for key, value in settings.items()})
+    fields = {}
+    for key, value in settings.items():
+        field, read = SOLVER_KEYS[key]
+        try:
+            fields[field] = read(value)
+        except ValueError as exc:
+            raise UsageError(f"{where} key {key!r}: {exc}") from None
+    config = SolverConfig(monitor=monitor, **fields)
     config.validate()
     return config
 
@@ -481,7 +490,7 @@ def load_config(path: str) -> ExperimentConfig:
         if "problem" not in cp or "run" not in cp:
             raise UsageError("config needs [problem] and [run] sections")
         problem = dict(cp["problem"])
-        check_problem_spec(problem)
+        problem_params(problem)
         runsec = cp["run"]
         _reject_unknown("[run]", runsec, ("seeds", "out"))
         seeds = [int(s) for s in runsec.get("seeds", "0").split()]
@@ -498,73 +507,72 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Problem construction from a spec dict
 
-#: The spec keys each problem kind reads, besides "kind".
+#: The keys each problem kind reads, besides "kind": key -> (reader of the
+#: key's value, default). A default of None leaves the value to the build:
+#: without a data file the logistic design is drawn, gamma comes from the
+#: design, and the lasso weight from its generator.
 PROBLEM_KEYS = {
-    "quadratic": ("dim", "eig_min", "eig_max"),
-    "logistic": ("data", "m", "n", "gamma"),
-    "lasso": ("m", "n", "l1_weight"),
-    "nmf": ("n", "r", "m"),
-    "mc": ("p", "q", "r", "nobs", "noise"),
+    "quadratic": {"dim": (int, 10), "eig_min": (float, 1.0), "eig_max": (float, 1.0)},
+    "logistic": {"data": (str, None), "m": (int, 200), "n": (int, 20), "gamma": (float, None)},
+    "lasso": {"m": (int, 100), "n": (int, 50), "l1_weight": (float, None)},
+    "nmf": {"n": (int, 200), "r": (int, 5), "m": (int, 300)},
+    "mc": {"p": (int, 15), "q": (int, 12), "r": (int, 3), "nobs": (int, 60),
+           "noise": (float, 0.0)},
 }
 
 
-def check_problem_spec(spec: Dict[str, str]) -> str:
-    """The spec's kind; an unknown kind, a key the kind does not read, or an
-    m beside a logistic data file (whose rows set m), is a UsageError."""
+def problem_params(spec) -> Tuple[str, dict]:
+    """The spec's kind and {key: value} for every key the kind reads: the
+    spec's value by the key's reader, else the key's default. An unknown kind,
+    a key the kind does not read, an m beside a logistic data file (whose rows
+    set m), or a value its reader refuses, is a UsageError."""
     kind = spec.get("kind", "quadratic")
     if kind not in PROBLEM_KEYS:
         raise UsageError(f"unknown problem kind {kind!r}")
-    _reject_unknown(f"problem kind {kind!r}", set(spec) - {"kind"}, PROBLEM_KEYS[kind])
+    keys = PROBLEM_KEYS[kind]
+    _reject_unknown(f"problem kind {kind!r}", set(spec) - {"kind"}, keys)
     if kind == "logistic" and "data" in spec and "m" in spec:
         raise UsageError("problem kind 'logistic' takes m or data, not both: "
                          "the data file's rows set m")
-    return kind
+    params = {}
+    for key, (read, default) in keys.items():
+        try:
+            params[key] = read(spec[key]) if key in spec else default
+        except ValueError as exc:
+            raise UsageError(f"problem key {key!r}: {exc}") from None
+    return kind, params
 
 
-def build_problem(spec: Dict[str, str], seed: int):
-    """Instantiate (problem, x0) from a flat problem spec and a seed, checked
-    by check_problem_spec; a negative seed is a UsageError, also where it
+def build_problem(spec, seed: int):
+    """Instantiate (problem, x0) from a flat problem spec, read by
+    problem_params, and a seed; a negative seed is a UsageError, also where it
     seeds no generator."""
-    kind = check_problem_spec(spec)
+    kind, p = problem_params(spec)
     check_seed(seed)
     if kind == "quadratic":
-        dim = int(spec.get("dim", 10))
-        eigs = np.linspace(float(spec.get("eig_min", 1.0)),
-                           float(spec.get("eig_max", 1.0)), dim)
-        problem = quadratic_problem(eigs, seed=seed)
-        x0 = rng(seed + 1).standard_normal(dim)
+        problem = quadratic_problem(np.linspace(p["eig_min"], p["eig_max"], p["dim"]), seed=seed)
+        x0 = rng(seed + 1).standard_normal(p["dim"])
     elif kind == "logistic":
-        if "data" in spec:
-            with open(spec["data"]) as fh:
-                design = parse_libsvm(fh, n=int(spec["n"]) if "n" in spec else None)
+        if p["data"] is not None:
+            # the file's largest index sets its width unless n is given
+            with open(p["data"]) as fh:
+                design = parse_libsvm(fh, n=p["n"] if "n" in spec else None)
         else:
-            design = logistic_synthetic(int(spec.get("m", 200)),
-                                        int(spec.get("n", 20)), seed)
-        gamma = float(spec["gamma"]) if "gamma" in spec else logistic_gamma(design)
+            design = logistic_synthetic(p["m"], p["n"], seed)
+        gamma = logistic_gamma(design) if p["gamma"] is None else p["gamma"]
         problem = logistic_problem(design, gamma)
         x0 = np.zeros(design.n)
     elif kind == "lasso":
-        A, b, w = lasso_synthetic(int(spec.get("m", 100)), int(spec.get("n", 50)), seed)
-        if "l1_weight" in spec:
-            w = float(spec["l1_weight"])
-        problem = lasso_problem(A, b, w)
+        A, b, w = lasso_synthetic(p["m"], p["n"], seed)
+        problem = lasso_problem(A, b, w if p["l1_weight"] is None else p["l1_weight"])
         x0 = np.zeros(A.shape[1])
     elif kind == "nmf":
-        n = int(spec.get("n", 200))
-        r = int(spec.get("r", 5))
-        m = int(spec.get("m", 300))
-        A = nmf_synthetic(n, r, m, seed)
-        shape = FactorShape(p=n, q=m, r=r)
-        problem = nmf_problem(A, shape)
+        shape = FactorShape(p=p["n"], q=p["m"], r=p["r"])
+        problem = nmf_problem(nmf_synthetic(p["n"], p["r"], p["m"], seed), shape)
         x0 = np.abs(rng(seed + 1).standard_normal(shape.dim))
     else:
-        p = int(spec.get("p", 15))
-        q = int(spec.get("q", 12))
-        r = int(spec.get("r", 3))
-        N = int(spec.get("nobs", 60))
-        noise = float(spec.get("noise", 0.0))
-        obs = mc_synthetic(p, q, r, N, noise, seed)
-        shape = FactorShape(p=p, q=q, r=r)
+        obs = mc_synthetic(p["p"], p["q"], p["r"], p["nobs"], p["noise"], seed)
+        shape = FactorShape(p=p["p"], q=p["q"], r=p["r"])
         problem = mc_problem(obs, shape)
         x0 = rng(seed + 1).standard_normal(shape.dim)
     return problem, x0
@@ -601,7 +609,6 @@ def run_experiment(config: ExperimentConfig):
         raise UsageError(f"output directory not writable: {config.out_dir}: {exc}") from exc
 
     rows: List[ComparisonRow] = []
-    results: List[Optional[RunResult]] = []
     for name, sc in config.solvers:
         for seed in config.seeds:
             t_start = time.perf_counter()
@@ -617,14 +624,12 @@ def run_experiment(config: ExperimentConfig):
                     grad_res=result.trace.min_gradmap(),
                     best_F=result.best_F, opt_gap=math.nan,
                     wall_seconds=wall, termination=result.termination))
-                results.append(result)
             except Exception as exc:  # noqa: BLE001 - cell failures never kill the grid
                 rows.append(ComparisonRow(
                     solver=name, seed=seed, iterations=0, grad_res=math.nan,
                     best_F=math.nan, opt_gap=math.nan,
                     wall_seconds=time.perf_counter() - t_start,
                     termination="error", error=str(exc), error_type=type(exc).__name__))
-                results.append(None)
 
     finite = [r.best_F for r in rows if math.isfinite(r.best_F)]
     fhat = min(finite) if finite else math.nan

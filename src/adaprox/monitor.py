@@ -128,7 +128,7 @@ def lyapunov_weights(trace: Trace) -> np.ndarray:
     The recursion runs on the records' Python floats. Where IEEE arithmetic
     overflows or divides by zero, or a rho below -1 has no square root, Python
     floats raise instead; that step is then taken in NumPy scalars, which give
-    the IEEE inf or NaN (with NumPy's warning)."""
+    the IEEE inf or NaN (with NumPy's warning, outside monitor_check)."""
     omega = np.empty(len(trace.records) + 1)
     om = omega[0] = 1.0
     lam_p, rho_p = float(trace.lambda0), 0.0
@@ -150,6 +150,7 @@ def _omega_step(om, lam_k, lam_p, rho_k, rho_p, sqrt=math.sqrt):
     return om * lam_k ** 2 / (lam_p ** 2 * (1.0 + rho_k) * sqrt(1.0 + rho_p))
 
 
+@np.errstate(all="ignore")
 def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
                   rho_total_value: Optional[float] = None, *,
                   fstar: Optional[float] = None,
@@ -165,6 +166,10 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     fstar that is not finite, or a trace whose lambda0 is not positive and
     finite or not the k=0 record's lambda (run writes the two equal), is a
     UsageError.
+
+    The replay runs under one np.errstate that ignores every floating-point
+    error: an overflow, a NaN or a root of a negative shows in the report,
+    as an inf or NaN figure or a failed check, not as a NumPy warning.
     """
     if trace.engine not in MONITORED_ENGINES:
         raise UsageError(

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from adaprox import RhoSequence, SolverConfig, UsageError, monitor_check, run
 from adaprox.adaptive import RHO_NAMES, rho_total
-from adaprox.cli import cli_main
+from adaprox.cli import PROBLEM_FLAGS, cli_main
 from adaprox.harness import (
+    PROBLEM_KEYS,
     SOLVER_KEYS,
     TRACE_SCHEMA,
     ExperimentConfig,
@@ -24,6 +25,7 @@ from adaprox.harness import (
     build_problem,
     load_config,
     parse_libsvm,
+    problem_params,
     read_trace,
     run_experiment,
     solver_config,
@@ -274,6 +276,19 @@ class TestTracePersistence:
                 assert identical(getattr(a, field), getattr(b, field)), (a.k, field)
         assert math.isnan(back.init.L_k) and math.isnan(back.init.rho_used)
 
+    def test_unencodable_metadata_leaves_the_file(self, tmp_path):
+        """Metadata that strict JSON cannot hold (a lambda0 of inf, which only
+        the API reaches) is refused before the file is opened, so a trace
+        already at the path keeps its bytes."""
+        trace = small_result().trace
+        path = tmp_path / "t.json"
+        write_trace(trace, "json", str(path))
+        before = path.read_bytes()
+        trace.lambda0 = math.inf
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_trace(trace, "json", str(path))
+        assert path.read_bytes() == before
+
     def test_unknown_format_rejected(self, tmp_path):
         res = small_result()
         with pytest.raises(UsageError):
@@ -523,8 +538,13 @@ class TestConfig:
         "[problem]\nkind = quadratic\n[run]\nseeds = a b\n",
         "kind = quadratic\n",
         "[problem]\nkind = quadratic\n[run]\nseeds = 0\n[solver s]\nlambda0 = x\n",
-    ], ids=["seeds", "no-section-header", "lambda0"])
-    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text):
+        "[problem]\nkind = quadratic\ndim = x\n[run]\nseeds = 0\n[solver s]\n",
+        "[problem]\nkind = mc\nnoise = x\n[run]\nseeds = 0\n[solver s]\n",
+    ], ids=["seeds", "no-section-header", "lambda0", "dim", "noise"])
+    def test_malformed_config_is_usage_error(self, tmp_path, monkeypatch, capsys, text):
+        """Refused when the file loads, so bench runs no cell and writes no
+        output directory."""
+        monkeypatch.chdir(tmp_path)
         path = str(tmp_path / "bad.ini")
         with open(path, "w") as fh:
             fh.write(text)
@@ -532,6 +552,33 @@ class TestConfig:
             load_config(path)
         assert cli_main(["bench", "--config", path]) == 2
         assert "bad.ini" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("logistic", "data", "d.libsvm"), ("logistic", "m", "30"), ("logistic", "n", "4"),
+        ("mc", "p", "5"), ("mc", "q", "4"), ("nmf", "r", "2"), ("quadratic", "dim", "3"),
+        ("mc", "nobs", "20"), ("logistic", "gamma", "0.5"),
+    ])
+    def test_solve_problem_flag_and_config_key_give_one_spec(self, tmp_path, monkeypatch,
+                                                             kind, key, value):
+        """`solve --problem <kind> --<key> <value>` passes build_problem the
+        spec that a [problem] section with that key holds."""
+        assert PROBLEM_FLAGS == ("data", "m", "n", "p", "q", "r", "dim", "nobs", "gamma")
+        path = str(tmp_path / "exp.ini")
+        with open(path, "w") as fh:
+            fh.write(f"[problem]\nkind = {kind}\n{key} = {value}\n[run]\n[solver s]\n")
+        from_file = load_config(path).problem
+        specs = []
+
+        def spy(spec, seed):
+            specs.append(spec)
+            return build_problem({"dim": "2"}, seed)
+
+        monkeypatch.setattr("adaprox.cli.build_problem", spy)
+        assert cli_main(["solve", "--problem", kind, f"--{key}", value, "--max-iters", "2"]) == 0
+        assert specs == [from_file]
+        kind_read, params = problem_params(from_file)
+        assert kind_read == kind and params[key] == PROBLEM_KEYS[kind][key][0](value)
 
     def test_missing_sections_rejected(self, tmp_path):
         path = str(tmp_path / "bad.ini")
@@ -760,6 +807,21 @@ class TestCli:
         assert ("omega_lower: FAIL [25 checks, worst slack nan] (k=1:"
                 in capsys.readouterr().out)
 
+    @pytest.mark.filterwarnings("error")
+    def test_check_raises_no_numpy_warning(self, tmp_path, capsys):
+        """The replay's roots of negatives and overflows show in the report,
+        not as NumPy RuntimeWarnings: the inputs of
+        test_check_rho_below_minus_one and test_sum_bound_past_float64_is_inf
+        with warnings turned into errors."""
+        for flags in ((), CONSTANTS):
+            assert self.check_corrupted(tmp_path, "rho", -5.0, flags, problem=LASSO) == 3
+            assert "growth_cap: FAIL [25 checks, worst slack nan]" in capsys.readouterr().out
+        init = IterationRecord(0, 1.0, 1.0, 1.0, 1e155, math.nan, math.nan, math.nan, 0.0, 1, 1, 1)
+        rec = IterationRecord(1, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.1, 0.0, 2, 2, 2)
+        trace = Trace("t", "adapgnc", 1e155, init, [rec], residual_sq=np.array([1.0]))
+        rep = monitor_check(trace, None, 0.2, fstar=0.0, known_L=1e-160)
+        assert rep.S == math.inf and rep.check("sum_bound").passed
+
     @pytest.mark.parametrize("flags", [(), CONSTANTS], ids=["bare", "constants"])
     @pytest.mark.parametrize("lam0", [0, -1.0, 0.5], ids=["zero", "negative", "not-lambda_0"])
     def test_check_bad_lambda0_exits_2(self, tmp_path, capsys, flags, lam0):
@@ -821,6 +883,18 @@ class TestCli:
     def test_solve_rejects_problem_keys_kind_does_not_read(self, capsys, argv):
         assert cli_main(["solve", "--max-iters", "3"] + argv) == 2
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim", "x"), ("--gamma", "x"), ("--lambda0", "x"), ("--max-iters", "2.5"),
+    ])
+    def test_solve_unreadable_value_exits_2(self, capsys, flag, value):
+        """A flag's value is read by its key's reader; one that does not read
+        is a usage error naming the key."""
+        problem = ["--problem", "logistic"] if flag == "--gamma" else []
+        assert cli_main(["solve", *problem, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error: " in captured.err
+        assert repr(flag[2:].replace("-", "_")) in captured.err
 
     def test_solve_non_finite_first_step_exits_1(self, capsys):
         with np.errstate(over="ignore"):

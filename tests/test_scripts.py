@@ -50,7 +50,9 @@ def test_bench_runs_one_aa_pair(tmp_path):
          "--seed0", "1", "--out", str(out)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    wl = json.loads(out.read_text())["workloads"]["quad-monitored"]
+    report = json.loads(out.read_text())
+    assert report["src_lines"]["base"] == report["src_lines"]["change"] > 0
+    wl = report["workloads"]["quad-monitored"]
     (pair,) = wl["runs"]
     for side in ("base", "change"):
         assert pair[side]["correct"] and pair[side]["failed"] == 0
