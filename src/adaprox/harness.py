@@ -10,7 +10,6 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -330,44 +329,37 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
     TRACE_SCHEMA column, holding its values' raw bytes, k = 0 first. ``fmt``
     must be "json".
 
-    Each column is gathered from the records and encoded on its own, which
+    Each column is gathered by Trace.column and encoded on its own, which
     bounds the writer's memory at one column's encoding."""
     if fmt != "json":
         raise UsageError(f"unknown trace format {fmt!r}")
-    metadata = {
-        "solver": trace.engine,
-        "seed": trace.seed,
-        "problem": trace.problem_name,
-        "termination": trace.termination,
-        "lambda0": trace.lambda0,
-        "version": TRACE_VERSION,
-        "dtypes": TRACE_DTYPES,
-    }
+    metadata = {key: getattr(trace, attr) for key, attr, _, _ in _METADATA if attr}
+    metadata.update(version=TRACE_VERSION, dtypes=TRACE_DTYPES)
     # encoded before the file is opened, so that metadata strict JSON cannot
     # hold, such as a lambda0 of inf, raises with an existing file unchanged
     head = b'{"metadata": ' + json.dumps(metadata, allow_nan=False).encode() + b', "columns": {'
-    records = trace.all_records()
     with open(path, "wb") as fh:
         fh.write(head)
         sep = b"\n"
         for c, f, dt in TRACE_SCHEMA:
-            values = np.fromiter(map(attrgetter(f), records), dt, len(records))
             fh.write(sep + f'"{c}": "'.encode())
-            fh.write(base64.b64encode(values.tobytes()))
+            fh.write(base64.b64encode(trace.column(f, dt).tobytes()))
             fh.write(b'"')
             sep = b",\n"
         fh.write(b"\n}}\n")
 
 
-#: The trace metadata: (key, test of its JSON value, what the test asks).
+#: The trace metadata in the order the reader checks it: (key, the Trace
+#: attribute it holds, None for "version" and "dtypes", test of its JSON value,
+#: what the test asks). The writer writes those two last.
 _METADATA = (
-    ("version", lambda v: type(v) is int and v == TRACE_VERSION, f"{TRACE_VERSION}"),
-    ("dtypes", lambda v: v == TRACE_DTYPES, f"{TRACE_DTYPES}"),
-    ("solver", lambda v: v in ENGINES, f"one of {ENGINES}"),
-    ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
-    ("problem", lambda v: type(v) is str, "a string"),
-    ("termination", lambda v: v in TERMINATIONS, f"one of {TERMINATIONS}"),
-    ("lambda0", lambda v: type(v) in (int, float), "a number"),
+    ("version", None, lambda v: type(v) is int and v == TRACE_VERSION, f"{TRACE_VERSION}"),
+    ("dtypes", None, lambda v: v == TRACE_DTYPES, f"{TRACE_DTYPES}"),
+    ("solver", "engine", lambda v: v in ENGINES, f"one of {ENGINES}"),
+    ("seed", "seed", lambda v: v is None or type(v) is int, "an integer or null"),
+    ("problem", "problem_name", lambda v: type(v) is str, "a string"),
+    ("termination", "termination", lambda v: v in TERMINATIONS, f"one of {TERMINATIONS}"),
+    ("lambda0", "lambda0", lambda v: type(v) in (int, float), "a number"),
 )
 
 
@@ -391,8 +383,9 @@ def _read_column(name: str, text, dtype: str) -> list:
 def read_trace(path: str) -> Trace:
     """Load a JSON trace. A file that is not such a trace, with every metadata
     key present and of its type, the current version and dtypes among them,
-    and every column a base64 string of whole values, all of one length, is a
-    UsageError naming it.
+    every column a base64 string of whole values, all of one length, and the
+    k column 0, 1, ..., K, is a UsageError naming it; so is a file that cannot
+    be read.
 
     Each column's string is dropped as it is decoded, so the file's text and
     the decoded values are not all held at once."""
@@ -400,7 +393,7 @@ def read_trace(path: str) -> Trace:
         with open(path) as fh:
             payload = json.load(fh, parse_constant=_reject_constant)
         meta = payload["metadata"]
-        for key, ok, what in _METADATA:
+        for key, _, ok, what in _METADATA:
             if not ok(meta[key]):
                 raise ValueError(f"metadata {key!r} holds {meta[key]!r}, not {what}")
         columns = payload["columns"]
@@ -408,13 +401,15 @@ def read_trace(path: str) -> Trace:
         if len(set(map(len, cols))) > 1:
             raise ValueError("columns of unequal length: " + ", ".join(
                 f"{c} {len(v)}" for (c, _, _), v in zip(TRACE_SCHEMA, cols)))
-        if not cols[0] or cols[0][0] != 0:
-            raise ValueError("no k=0 record")
+        # the monitor numbers observations by position, so k must be it
+        if not cols[0] or cols[0] != list(range(len(cols[0]))):
+            raise ValueError("column 'k' is not 0, 1, ..., K")
         init, *records = map(IterationRecord, *cols)
-        return Trace(problem_name=meta["problem"], engine=meta["solver"],
-                     lambda0=float(meta["lambda0"]), init=init,
-                     records=records, termination=meta["termination"],
-                     seed=meta["seed"])
+        fields = {attr: meta[key] for key, attr, _, _ in _METADATA if attr}
+        fields["lambda0"] = float(fields["lambda0"])  # JSON may hold it as an integer
+        return Trace(init=init, records=records, **fields)
+    except OSError as exc:
+        raise UsageError(f"cannot read trace {path}: {exc.strerror}") from None
     except KeyError as exc:
         raise UsageError(f"trace {path} lacks {exc}") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
@@ -481,8 +476,8 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read an experiment config; a file that does not parse as one is a
-    UsageError naming it."""
+    """Read an experiment config; a file that cannot be read, or does not
+    parse as one, is a UsageError naming it."""
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -500,6 +495,8 @@ def load_config(path: str) -> ExperimentConfig:
         solvers = [(section[len("solver "):], solver_config(f"[{section}]", cp[section]))
                    for section in cp.sections() if section.startswith("solver ")]
         return ExperimentConfig(problem=problem, solvers=solvers, seeds=seeds, out_dir=out_dir)
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
     except (configparser.Error, ValueError) as exc:
         raise UsageError(f"config {path}: {exc}") from None
 
@@ -550,13 +547,21 @@ def build_problem(spec, seed: int):
     kind, p = problem_params(spec)
     check_seed(seed)
     if kind == "quadratic":
+        if p["dim"] < 1:
+            raise UsageError(f"dim must be positive, got {p['dim']}")
+        for key in ("eig_min", "eig_max"):
+            if not -math.inf < p[key] < math.inf:
+                raise UsageError(f"{key} must be finite, got {p[key]}")
         problem = quadratic_problem(np.linspace(p["eig_min"], p["eig_max"], p["dim"]), seed=seed)
         x0 = rng(seed + 1).standard_normal(p["dim"])
     elif kind == "logistic":
         if p["data"] is not None:
             # the file's largest index sets its width unless n is given
-            with open(p["data"]) as fh:
-                design = parse_libsvm(fh, n=p["n"] if "n" in spec else None)
+            try:
+                with open(p["data"]) as fh:
+                    design = parse_libsvm(fh, n=p["n"] if "n" in spec else None)
+            except OSError as exc:
+                raise UsageError(f"cannot read data file {p['data']}: {exc.strerror}") from None
         else:
             design = logistic_synthetic(p["m"], p["n"], seed)
         gamma = logistic_gamma(design) if p["gamma"] is None else p["gamma"]
@@ -571,8 +576,8 @@ def build_problem(spec, seed: int):
         problem = nmf_problem(nmf_synthetic(p["n"], p["r"], p["m"], seed), shape)
         x0 = np.abs(rng(seed + 1).standard_normal(shape.dim))
     else:
-        obs = mc_synthetic(p["p"], p["q"], p["r"], p["nobs"], p["noise"], seed)
         shape = FactorShape(p=p["p"], q=p["q"], r=p["r"])
+        obs = mc_synthetic(p["p"], p["q"], p["r"], p["nobs"], p["noise"], seed)
         problem = mc_problem(obs, shape)
         x0 = rng(seed + 1).standard_normal(shape.dim)
     return problem, x0

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -119,27 +118,28 @@ def monitor_constants(problem: Optional[CompositeProblem] = None, *,
     return known_L, fstar
 
 
-def lyapunov_weights(trace: Trace) -> np.ndarray:
+def lyapunov_weights(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """omega_0 = 1 and omega_k = omega_{k-1} lam_k^2 / (lam_{k-1}^2 (1 + rho_{k-1})
-    sqrt(1 + rho_{k-2})), with lam_0 = trace.lambda0, rho_{k-1} the rho_used
-    of record k and rho_{-1} = 0. By the recursion: the product form
-    over/underflows, and a cumprod rounds differently.
+    sqrt(1 + rho_{k-2})), from columns over k = 0..K: lam_k = lam[k], rho_{k-1}
+    = rho[k] (record k's rho_used) and rho_{-1} = 0. By the recursion: the
+    product form over/underflows, and a cumprod rounds differently.
 
-    The recursion runs on the records' Python floats. Where IEEE arithmetic
+    The recursion runs on Python floats via memoryviews. Where IEEE arithmetic
     overflows or divides by zero, or a rho below -1 has no square root, Python
     floats raise instead; that step is then taken in NumPy scalars, which give
     the IEEE inf or NaN (with NumPy's warning, outside monitor_check)."""
-    omega = np.empty(len(trace.records) + 1)
-    om = omega[0] = 1.0
-    lam_p, rho_p = float(trace.lambda0), 0.0
-    for k, r in enumerate(trace.records, 1):
-        lam_k, rho_k = r.lam, r.rho_used
+    lams, rhos = memoryview(lam), memoryview(rho)
+    omega = np.empty(len(lams))
+    out = memoryview(omega)
+    om = out[0] = 1.0
+    lam_p, rho_p = lams[0], 0.0
+    for k, lam_k, rho_k in zip(range(1, len(lams)), lams[1:], rhos[1:]):
         try:
             om = _omega_step(om, lam_k, lam_p, rho_k, rho_p)
         except (ArithmeticError, ValueError):
             om = float(_omega_step(np.float64(om), np.float64(lam_k), np.float64(lam_p),
                                    rho_k, rho_p, np.sqrt))
-        omega[k] = om
+        out[k] = om
         lam_p, rho_p = lam_k, rho_k
     return omega
 
@@ -181,14 +181,10 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
                          f"lambda, got {lam0} and {trace.init.lam}")
     have_consts = known_L is not None and rho_total_value is not None
 
-    recs, rs = trace.records, trace.all_records()
-    K = len(recs)
-
-    def column(records, name):
-        return np.fromiter(map(attrgetter(name), records), float, len(records))
+    K = len(trace.records)
 
     # Columns over k = 0..K, then their k-1 and k views over k = 1..K.
-    lam, F, G = column(rs, "lam"), column(rs, "F_value"), column(rs, "gradmap_norm")
+    lam, F, G = trace.column("lam"), trace.column("F_value"), trace.column("gradmap_norm")
     lam_p, lam_k, F_p, F_k, G_p, G_k = lam[:-1], lam[1:], F[:-1], F[1:], G[:-1], G[1:]
     ks = np.arange(1, K + 1)
     tol = 1e-9 * (1.0 + np.abs(F_p))
@@ -203,7 +199,7 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
         F_p + w * (lam_p * G_p) ** 2 - 0.5 * lam_p * G_p ** 2, tol))
 
     # (b) the step condition every emitted lambda must satisfy.
-    L_k, l_k = column(recs, "L_k"), column(recs, "l_k")
+    L_k, l_k = trace.column("L_k")[1:], trace.column("l_k")[1:]
     report.checks.append(_check(
         "step_condition", ks, lam_k ** 2 * L_k ** 2 + (lam_k ** 2 / lam_p) * l_k,
         1.0, 1e-9))
@@ -211,7 +207,8 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     # (b') the growth cap both rules take the min with, rho_{k-1} being record
     # k's rho_used. The replay forms the rules' own IEEE product, so an
     # unaltered trace meets it exactly; it needs no constants.
-    cap = np.sqrt(1.0 + column(recs, "rho_used")) * lam_p
+    rho = trace.column("rho_used")
+    cap = np.sqrt(1.0 + rho[1:]) * lam_p
     report.checks.append(_check("growth_cap", ks, lam_k, cap, 1e-12 * np.maximum(1.0, cap)))
 
     # (c) two-sided step bounds; needs a certified L and the rho total P.
@@ -229,7 +226,7 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
         report.skipped.append("step_bounds")
 
     # (d) Lyapunov weights.
-    omega = lyapunov_weights(trace)
+    omega = lyapunov_weights(lam, rho)
     if have_consts:
         try:
             om = lo ** 2 / lam0 ** 2

@@ -189,8 +189,8 @@ def logistic_problem(design: SparseDesign, gamma: float) -> CompositeProblem:
     A is ``logistic_operator(design)``, a dense ndarray for a design at least
     half full and CSR otherwise; the oracle keeps only A and the labels.
     """
-    if gamma < 0.0:
-        raise UsageError("gamma must be nonnegative")
+    if not 0.0 <= gamma < math.inf:
+        raise UsageError(f"gamma must be nonnegative and finite, got {gamma}")
     if design.m < 1:
         raise UsageError("design must be nonempty")
     A = logistic_operator(design)
@@ -261,6 +261,8 @@ def lasso_problem(A: np.ndarray, b: Vector, l1_weight: float) -> CompositeProble
 def lasso_synthetic(m: int, n: int, seed: int, density: float = 0.1,
                     noise: float = 0.01) -> Tuple[np.ndarray, Vector, float]:
     """Random instance (A, b, l1_weight) with a planted sparse signal."""
+    if min(m, n) < 1:
+        raise UsageError(f"dimensions must be positive, got m = {m}, n = {n}")
     gen = rng(seed)
     A = gen.standard_normal((m, n))
     x_true = np.where(gen.random(n) < density, gen.standard_normal(n), 0.0)
@@ -278,6 +280,8 @@ def quadratic_problem(eigenvalues: Sequence[float], seed: int = 0) -> CompositeP
     e = np.asarray(eigenvalues, dtype=np.float64)
     if e.ndim != 1 or e.size < 1:
         raise UsageError("eigenvalues must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(e)):
+        raise UsageError("eigenvalues must be finite")
     gen = rng(seed)
     R, _ = np.linalg.qr(gen.standard_normal((e.size, e.size)))
     Q = R @ np.diag(e) @ R.T
@@ -388,6 +392,8 @@ def mc_synthetic(p: int, q: int, r: int, N: int, noise: float, seed: int) -> Obs
 
     The planted factors ride along in ``ground_truth`` for diagnostics.
     """
+    if not 0.0 <= noise < math.inf:
+        raise UsageError(f"noise must be nonnegative and finite, got {noise}")
     if N > p * q:
         raise UsageError(f"cannot sample {N} distinct entries from a {p}x{q} grid")
     if N < 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class L1(ProxKind):
     weight: float
 
     def __post_init__(self):
-        if not self.weight > 0.0:
-            raise UsageError(f"L1 weight must be positive, got {self.weight}")
+        if not 0.0 < self.weight < math.inf:
+            raise UsageError(f"L1 weight must be positive and finite, got {self.weight}")
 
     def _prox(self, x, t):
         return np.sign(x) * np.maximum(np.abs(x) - t * self.weight, 0.0)

@@ -6,6 +6,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional
 
 import numpy as np
@@ -106,8 +107,15 @@ class Trace:
     def all_records(self) -> List[IterationRecord]:
         return [self.init] + list(self.records)
 
+    def column(self, field: str, dtype=float) -> np.ndarray:
+        """The IterationRecord field ``field`` over k = 0..K as an array of
+        ``dtype``, read from init and records without copying the list."""
+        get = attrgetter(field)
+        return np.fromiter(itertools.chain((get(self.init),), map(get, self.records)),
+                           dtype, len(self.records) + 1)
+
     def min_gradmap(self) -> float:
-        return min(r.gradmap_norm for r in self.all_records())
+        return float(self.column("gradmap_norm").min())
 
 
 @dataclass

@@ -202,6 +202,10 @@ def with_layout_fault(payload, case):
         del meta["version"]
     elif case.startswith("version="):
         meta["version"] = json.loads(case[len("version="):])
+    elif case == "k_not_consecutive":
+        k = decode_column(payload, "k").copy()
+        k[3:5] = 99, -7
+        cols["k"] = encode_column(k)
     elif case == "row_major":
         return row_major(payload)
     else:  # row-major records under version-3 metadata
@@ -401,11 +405,13 @@ class TestTracePersistence:
         ("version=2", "'version' holds 2, not 3"),
         ("version=4", "'version' holds 4, not 3"),
         ("version=3.0", "'version' holds 3.0, not 3"),
+        ("k_not_consecutive", r"column 'k' is not 0, 1, \.\.\., K"),
         ("row_major", "lacks 'version'"),
         ("row_major_version_2", "lacks 'columns'"),
     ], ids=["unequal_length", "column_not_string", "non_base64", "partial_value",
             "no_dtypes", "big_endian_dtypes", "no_version", "version_1", "version_2",
-            "version_4", "float_version", "row_major", "row_major_version_2"])
+            "version_4", "float_version", "k_not_consecutive", "row_major",
+            "row_major_version_2"])
     def test_json_layout_error_is_usage_error(self, tmp_path, capsys, case, message):
         """A file that is not one base64 string of whole values per column, all
         of one length, under metadata of format version 3 with its dtypes is
@@ -434,7 +440,7 @@ class TestTracePersistence:
         n = data.draw(st.integers(1, 5))
         cols = {f: data.draw(st.lists(ints if dt == "<i8" else floats, min_size=n, max_size=n))
                 for _, f, dt in TRACE_SCHEMA}
-        cols["k"][0] = 0
+        cols["k"] = list(range(n))  # the reader refuses any other k column
         init, *records = [IterationRecord(**dict(zip(cols, row))) for row in zip(*cols.values())]
         trace = Trace(problem_name="p", engine="adapgnc", lambda0=data.draw(floats.filter(
             math.isfinite)), init=init, records=records, termination="max_iters",
@@ -553,6 +559,32 @@ class TestConfig:
         assert cli_main(["bench", "--config", path]) == 2
         assert "bad.ini" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"dim": "-1"}, "dim must be positive, got -1"),
+        ({"kind": "lasso", "m": "-1"}, "got m = -1, n = 50"),
+        ({"kind": "lasso", "n": "0"}, "got m = 100, n = 0"),
+        ({"kind": "lasso", "m": "0"}, "got m = 0, n = 50"),
+        ({"kind": "logistic", "gamma": "nan"}, "gamma must be nonnegative and finite, got nan"),
+        ({"kind": "logistic", "gamma": "inf"}, "gamma must be nonnegative and finite, got inf"),
+        ({"eig_min": "inf"}, "eig_min must be finite, got inf"),
+        ({"kind": "lasso", "l1_weight": "inf"}, "L1 weight must be positive and finite, got inf"),
+        ({"kind": "mc", "noise": "-1"}, "noise must be nonnegative and finite, got -1.0"),
+        ({"kind": "mc", "noise": "nan"}, "noise must be nonnegative and finite, got nan"),
+        ({"kind": "mc", "r": "-1"}, "factor dimensions must be positive"),
+    ], ids=["dim", "lasso-m-negative", "lasso-n", "lasso-m-zero", "gamma-nan", "gamma-inf",
+            "eig_min", "l1_weight", "noise-negative", "noise-nan", "mc-r"])
+    def test_out_of_range_problem_value_is_usage_error(self, capsys, spec, message):
+        """The builder that reads the value refuses it, NaN included; where
+        the key is a solve flag, solve exits 2 with the builder's message."""
+        with pytest.raises(UsageError, match=message):
+            build_problem(spec, 0)
+        kind = spec.get("kind", "quadratic")
+        keys = set(spec) - {"kind"}
+        if keys <= set(PROBLEM_FLAGS):
+            flags = [a for key in keys for a in (f"--{key}", spec[key])]
+            assert cli_main(["solve", "--problem", kind, *flags, "--max-iters", "1"]) == 2
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, key, value", [
         ("logistic", "data", "d.libsvm"), ("logistic", "m", "30"), ("logistic", "n", "4"),
@@ -1018,10 +1050,28 @@ class TestCli:
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2
 
-    def test_solver_error_exits_1(self, tmp_path, capsys):
-        code = cli_main(["solve", "--problem", "logistic",
-                         "--data", str(tmp_path / "missing.txt")])
-        assert code == 1
+    @pytest.mark.parametrize("argv", [
+        ["check", "nope.json"],
+        ["bench", "--config", "nope.ini"],
+        ["solve", "--problem", "logistic", "--data", "nope.libsvm"],
+    ], ids=["check", "bench", "solve"])
+    def test_missing_input_file_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        """An input file that cannot be opened is a usage error naming it."""
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot read ") and argv[-1] in err
+
+    def test_solver_error_exits_1(self, monkeypatch, capsys, nan_problem):
+        """An error of the solve that is not a usage error exits 1."""
+        import adaprox.cli
+
+        def build(spec, seed):  # f(x0) is NaN
+            return nan_problem("f", first_bad_call=1), np.ones(3)
+
+        monkeypatch.setattr(adaprox.cli, "build_problem", build)
+        assert cli_main(["solve"]) == 1
+        assert "solver error: non-finite f or grad f at x0" in capsys.readouterr().err
 
     def test_gen_then_solve_from_file(self, tmp_path, capsys):
         data = str(tmp_path / "d.libsvm")

@@ -343,6 +343,11 @@ class TestQuadratic:
         assert e1 + e2 == pytest.approx(5.0, rel=1e-12)
         assert p.known_fstar == 0.0
 
+    @pytest.mark.parametrize("eig", [math.inf, -math.inf, math.nan])
+    def test_non_finite_eigenvalue_rejected(self, eig):
+        with pytest.raises(UsageError, match="eigenvalues must be finite"):
+            quadratic_problem([1.0, eig])
+
     def test_indefinite_has_no_fstar(self):
         p = quadratic_problem([-1.0, 2.0], seed=0)
         assert p.known_fstar is None

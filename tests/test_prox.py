@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,12 @@ def test_gradient_mapping_monotone_in_eta_lasso():
         g_big = gradient_mapping(p, x, e2)   # eta1 >= eta2
         g_small = gradient_mapping(p, x, e1)
         assert np.linalg.norm(g_big) <= np.linalg.norm(g_small) + 1e-12
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+def test_l1_weight_must_be_positive_and_finite(weight):
+    with pytest.raises(UsageError, match="L1 weight must be positive and finite"):
+        L1(weight)
 
 
 def test_gradient_mapping_rejects_bad_eta():

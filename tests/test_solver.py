@@ -479,7 +479,7 @@ class TestMonitorIntegration:
             for k in range(1, len(steps) + 1):
                 ref[k] = ref[k - 1] * lam[k] ** 2 / (
                     lam[k - 1] ** 2 * (1.0 + rho[k]) * math.sqrt(1.0 + rho[k - 1]))
-            omega = lyapunov_weights(trace)
+            omega = lyapunov_weights(trace.column("lam"), trace.column("rho_used"))
         assert omega.tobytes() == ref.tobytes()
 
     @given(st.lists(st.tuples(st.floats(-2.0, 2.0) | st.just(math.nan),
@@ -572,7 +572,8 @@ class TestMonitorIntegration:
                 for k, rho in [(1, -5.0), (2, 0.0), (3, 0.0)]]
         init = IterationRecord(0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
         with np.errstate(invalid="ignore"):
-            omega = lyapunov_weights(Trace("t", "adapgnc", 1.0, init, recs))
+            trace = Trace("t", "adapgnc", 1.0, init, recs)
+            omega = lyapunov_weights(trace.column("lam"), trace.column("rho_used"))
         assert omega[:2].tolist() == [1.0, -0.25]
         assert np.isnan(omega[2:]).all()
 
