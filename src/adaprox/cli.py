@@ -18,6 +18,7 @@ from .harness import (
     build_problem,
     load_config,
     make_rho,
+    problem_params,
     read_trace,
     run_experiment,
     solver_config,
@@ -82,8 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # only the logistic kind reads a data file (solve --data), so gen writes no other
     pg.add_argument("--problem", default="logistic", choices=("logistic",))
     for key in ("m", "n"):
-        read, default = PROBLEM_KEYS["logistic"][key]
-        pg.add_argument(f"--{key}", type=read, default=default)
+        pg.add_argument(f"--{key}")
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", required=True)
     return ap
@@ -135,7 +135,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    design = logistic_synthetic(args.m, args.n, args.seed)
+    _, p = problem_params({"kind": "logistic", **_given(args, ("m", "n"))})
+    design = logistic_synthetic(p["m"], p["n"], args.seed)
     with open(args.out, "w") as fh:
         write_libsvm(design, fh)
     print(f"dataset written to {args.out}")

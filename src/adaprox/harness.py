@@ -355,7 +355,7 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
 _METADATA = (
     ("version", None, lambda v: type(v) is int and v == TRACE_VERSION, f"{TRACE_VERSION}"),
     ("dtypes", None, lambda v: v == TRACE_DTYPES, f"{TRACE_DTYPES}"),
-    ("solver", "engine", lambda v: v in ENGINES, f"one of {ENGINES}"),
+    ("solver", "engine", lambda v: type(v) is str and v in ENGINES, f"one of {tuple(ENGINES)}"),
     ("seed", "seed", lambda v: v is None or type(v) is int, "an integer or null"),
     ("problem", "problem_name", lambda v: type(v) is str, "a string"),
     ("termination", "termination", lambda v: v in TERMINATIONS, f"one of {TERMINATIONS}"),
@@ -504,17 +504,37 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Problem construction from a spec dict
 
+def _ranged(read, ok, what):
+    """A reader: ``read`` of the value, which must pass ``ok``, else a
+    ValueError saying it must be ``what``."""
+    def read_ranged(value):
+        v = read(value)
+        if not ok(v):
+            raise ValueError(f"must be {what}, got {v}")
+        return v
+    return read_ranged
+
+
+_POSITIVE_INT = _ranged(int, lambda v: v >= 1, "positive")
+_FINITE = _ranged(float, math.isfinite, "finite")
+_NONNEGATIVE = _ranged(float, lambda v: 0.0 <= v < math.inf, "nonnegative and finite")
+_POSITIVE = _ranged(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+
 #: The keys each problem kind reads, besides "kind": key -> (reader of the
-#: key's value, default). A default of None leaves the value to the build:
-#: without a data file the logistic design is drawn, gamma comes from the
-#: design, and the lasso weight from its generator.
+#: key's value, default). A reader refuses a value out of the key's own range;
+#: limits across keys (mc's nobs <= p*q) are left to the builders. A default of
+#: None leaves the value to the build: without a data file the logistic design
+#: is drawn, gamma comes from the design, and the lasso weight from its generator.
 PROBLEM_KEYS = {
-    "quadratic": {"dim": (int, 10), "eig_min": (float, 1.0), "eig_max": (float, 1.0)},
-    "logistic": {"data": (str, None), "m": (int, 200), "n": (int, 20), "gamma": (float, None)},
-    "lasso": {"m": (int, 100), "n": (int, 50), "l1_weight": (float, None)},
-    "nmf": {"n": (int, 200), "r": (int, 5), "m": (int, 300)},
-    "mc": {"p": (int, 15), "q": (int, 12), "r": (int, 3), "nobs": (int, 60),
-           "noise": (float, 0.0)},
+    "quadratic": {"dim": (_POSITIVE_INT, 10), "eig_min": (_FINITE, 1.0),
+                  "eig_max": (_FINITE, 1.0)},
+    "logistic": {"data": (str, None), "m": (_POSITIVE_INT, 200), "n": (_POSITIVE_INT, 20),
+                 "gamma": (_NONNEGATIVE, None)},
+    "lasso": {"m": (_POSITIVE_INT, 100), "n": (_POSITIVE_INT, 50),
+              "l1_weight": (_POSITIVE, None)},
+    "nmf": {"n": (_POSITIVE_INT, 200), "r": (_POSITIVE_INT, 5), "m": (_POSITIVE_INT, 300)},
+    "mc": {"p": (_POSITIVE_INT, 15), "q": (_POSITIVE_INT, 12), "r": (_POSITIVE_INT, 3),
+           "nobs": (_POSITIVE_INT, 60), "noise": (_NONNEGATIVE, 0.0)},
 }
 
 
@@ -547,11 +567,6 @@ def build_problem(spec, seed: int):
     kind, p = problem_params(spec)
     check_seed(seed)
     if kind == "quadratic":
-        if p["dim"] < 1:
-            raise UsageError(f"dim must be positive, got {p['dim']}")
-        for key in ("eig_min", "eig_max"):
-            if not -math.inf < p[key] < math.inf:
-                raise UsageError(f"{key} must be finite, got {p[key]}")
         problem = quadratic_problem(np.linspace(p["eig_min"], p["eig_max"], p["dim"]), seed=seed)
         x0 = rng(seed + 1).standard_normal(p["dim"])
     elif kind == "logistic":
@@ -562,6 +577,9 @@ def build_problem(spec, seed: int):
                     design = parse_libsvm(fh, n=p["n"] if "n" in spec else None)
             except OSError as exc:
                 raise UsageError(f"cannot read data file {p['data']}: {exc.strerror}") from None
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"data file {p['data']} is not UTF-8 text "
+                                 f"({exc.reason})") from None
         else:
             design = logistic_synthetic(p["m"], p["n"], seed)
         gamma = logistic_gamma(design) if p["gamma"] is None else p["gamma"]

@@ -7,7 +7,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -32,13 +32,43 @@ from .core import (
 )
 from .prox import Zero
 
-ENGINES = ("adapgnc", "adapgnc-relaxed", "adapgnc-bb", "adgd", "fixed", "gd-ls")
 
-#: Engines whose traces the theory monitor covers.
-MONITORED_ENGINES = ("adapgnc", "adapgnc-relaxed")
+@dataclass(frozen=True, slots=True)
+class Engine:
+    """One row of ENGINES: ``step(lam, lam_prev, rho_used, curv, dx, dg, problem,
+    x, f, grad)`` gives lambda_k (dg is None without ``curvature``). The flags
+    say whether ``run`` estimates the curvature pair (and tests stagnation) and
+    rho, whether the monitor covers the engine and whether it needs h = 0."""
 
-_CURVATURE_ENGINES = ("adapgnc", "adapgnc-relaxed", "adapgnc-bb", "adgd")
-_RHO_ENGINES = ("adapgnc", "adapgnc-relaxed", "adapgnc-bb")
+    step: Callable[..., float]
+    curvature: bool = False
+    rho: bool = False
+    monitored: bool = False
+    smooth_only: bool = False
+
+
+def _gd_ls_step(lam, lam_prev, rho_used, curv, dx, dg, problem, x, f, grad):
+    if float(np.dot(grad, grad)) == 0.0:
+        return lam  # stationary for smooth f; the loop stops on tol
+    return armijo_search(problem.f_value, x, grad, f_x=f)[0]
+
+
+#: name -> row. Each rule is called through this module's namespace, so a
+#: wrapper set on, say, ``solver.adapgnc_step`` sees every call.
+ENGINES = {
+    "adapgnc": Engine(lambda lam, lam_prev, rho, curv, *_: adapgnc_step(lam, rho, curv),
+                      curvature=True, rho=True, monitored=True),
+    "adapgnc-relaxed": Engine(lambda lam, lam_prev, rho, curv, *_: relaxed_step(lam, rho, curv),
+                              curvature=True, rho=True, monitored=True),
+    "adapgnc-bb": Engine(lambda lam, lam_prev, rho, curv, dx, dg, *_: bb_step(lam, rho, dx, dg),
+                         curvature=True, rho=True),
+    "adgd": Engine(lambda lam, lam_prev, rho, curv, *_: adgd_step(lam, lam_prev, curv),
+                   curvature=True),
+    "fixed": Engine(lambda lam, *_: lam),  # lam stays lambda0
+    "gd-ls": Engine(_gd_ls_step, smooth_only=True),
+}
+
+MONITORED_ENGINES = tuple(name for name, engine in ENGINES.items() if engine.monitored)
 
 TERMINATIONS = ("tol", "max_iters", "max_seconds", "stagnation", "non_finite")
 
@@ -55,7 +85,7 @@ class SolverConfig:
 
     def validate(self) -> None:
         if self.engine not in ENGINES:
-            raise UsageError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
+            raise UsageError(f"unknown engine {self.engine!r}; choose from {tuple(ENGINES)}")
         if self.monitor and self.engine not in MONITORED_ENGINES:
             raise UsageError(
                 f"monitor covers engines {MONITORED_ENGINES}, got {self.engine!r}")
@@ -165,12 +195,12 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     the problem's known_L and known_fstar both set, sum_bound's residuals are
     streamed into the trace. With the monitor on, a known_L or known_fstar
     that the monitor refuses is a UsageError before any oracle call, and so is
-    gd-ls with an h that is not Zero: its Armijo test on f alone says nothing
-    of F = f + h."""
+    a ``smooth_only`` engine with an h that is not Zero: gd-ls's Armijo test
+    on f alone says nothing of F = f + h."""
     config.validate()
-    engine = config.engine
-    if engine == "gd-ls" and not isinstance(problem.nonsmooth, Zero):
-        raise UsageError("gd-ls backtracks on f alone and needs h = 0, "
+    engine = ENGINES[config.engine]
+    if engine.smooth_only and not isinstance(problem.nonsmooth, Zero):
+        raise UsageError(f"{config.engine} steps on f alone and needs h = 0, "
                          f"got {type(problem.nonsmooth).__name__}")
     residuals = None
     if config.monitor:
@@ -192,7 +222,7 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     lam = lam_prev = config.lambda0
     x_next, dx, nd, rec = _prox_step_record(problem, 0, x, f, grad, lam, _NO_CURVATURE,
                                             math.nan, 0.0)
-    trace = Trace(problem_name=problem.name, engine=engine, lambda0=lam, init=rec,
+    trace = Trace(problem_name=problem.name, engine=config.engine, lambda0=lam, init=rec,
                   seed=seed)
     best_F, best_x = rec.F_value, x  # no iterate is changed in place; copied once below
     x_rec, grad_rec = x, grad  # the x and grad of the last kept record
@@ -216,34 +246,20 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
             break
         # the one stagnation test: it runs before the gradient evaluation,
         # keeping n_gradient = iterations + 1 exact
-        if engine in _CURVATURE_ENGINES and degenerate(nd, x):
+        if engine.curvature and degenerate(nd, x):
             termination = "stagnation"
             break
         f_prev, grad_prev = f, grad
         f, grad = problem.f_value_gradient(x)
 
-        curv, rho_used = _NO_CURVATURE, math.nan
-        if engine in _CURVATURE_ENGINES:
+        curv, rho_used, dg = _NO_CURVATURE, math.nan, None
+        if engine.curvature:
             dg = grad - grad_prev
             curv = estimate_curvature(dx, nd, dg, grad, f_prev, f, lam)
-        if engine in _RHO_ENGINES:
+        if engine.rho:
             rho_used = rho_value(config.rho, k - 1, lambda_ratio=lam / lam_prev)
-
-        if engine == "adapgnc":
-            step = adapgnc_step(lam, rho_used, curv)
-        elif engine == "adapgnc-relaxed":
-            step = relaxed_step(lam, rho_used, curv)
-        elif engine == "adapgnc-bb":
-            step = bb_step(lam, rho_used, dx, dg)
-        elif engine == "adgd":
-            step = adgd_step(lam, lam_prev, curv)
-        elif engine == "fixed":
-            step = config.lambda0
-        elif float(np.dot(grad, grad)) == 0.0:
-            step = lam  # gd-ls, stationary for smooth f; the loop stops on tol
-        else:
-            step, _ = armijo_search(problem.f_value, x, grad, f_x=f)
-        lam_prev, lam = lam, step
+        lam_prev, lam = lam, engine.step(lam, lam_prev, rho_used, curv, dx, dg,
+                                         problem, x, f, grad)
 
         x_next, dx, nd, rec = _prox_step_record(problem, k, x, f, grad, lam, curv,
                                                 rho_used, elapsed)

@@ -336,13 +336,15 @@ class TestTracePersistence:
         ("metadata", "lambda0", "1.0"),
         ("metadata", "solver", "newton"),
         ("metadata", "solver", None),
+        ("metadata", "solver", ["adapgnc"]),
         ("metadata", "termination", "done"),
         ("metadata", "problem", 3),
         ("metadata", "seed", True),
         ("metadata", "seed", 1.0),
     ], ids=["float_k", "bool_f", "string_lambda", "null_count", "Infinity_string_F",
             "inf_string_count", "huge_int_f", "string_lambda0",
-            "unknown_solver", "null_solver", "unknown_termination", "number_problem",
+            "unknown_solver", "null_solver", "list_solver", "unknown_termination",
+            "number_problem",
             "bool_seed", "float_seed"])
     def test_json_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, where, key, value):
         """Each JSON value must be of its key's type, never coerced; the engine
@@ -561,22 +563,24 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("spec, message", [
-        ({"dim": "-1"}, "dim must be positive, got -1"),
-        ({"kind": "lasso", "m": "-1"}, "got m = -1, n = 50"),
-        ({"kind": "lasso", "n": "0"}, "got m = 100, n = 0"),
-        ({"kind": "lasso", "m": "0"}, "got m = 0, n = 50"),
-        ({"kind": "logistic", "gamma": "nan"}, "gamma must be nonnegative and finite, got nan"),
-        ({"kind": "logistic", "gamma": "inf"}, "gamma must be nonnegative and finite, got inf"),
-        ({"eig_min": "inf"}, "eig_min must be finite, got inf"),
-        ({"kind": "lasso", "l1_weight": "inf"}, "L1 weight must be positive and finite, got inf"),
-        ({"kind": "mc", "noise": "-1"}, "noise must be nonnegative and finite, got -1.0"),
-        ({"kind": "mc", "noise": "nan"}, "noise must be nonnegative and finite, got nan"),
-        ({"kind": "mc", "r": "-1"}, "factor dimensions must be positive"),
+        ({"dim": "-1"}, "'dim': must be positive, got -1"),
+        ({"kind": "lasso", "m": "-1"}, "'m': must be positive, got -1"),
+        ({"kind": "lasso", "n": "0"}, "'n': must be positive, got 0"),
+        ({"kind": "lasso", "m": "0"}, "'m': must be positive, got 0"),
+        ({"kind": "logistic", "gamma": "nan"}, "'gamma': must be nonnegative and finite, got nan"),
+        ({"kind": "logistic", "gamma": "inf"}, "'gamma': must be nonnegative and finite, got inf"),
+        ({"eig_min": "inf"}, "'eig_min': must be finite, got inf"),
+        ({"kind": "lasso", "l1_weight": "inf"}, "'l1_weight': must be positive and finite, got inf"),
+        ({"kind": "mc", "noise": "-1"}, "'noise': must be nonnegative and finite, got -1.0"),
+        ({"kind": "mc", "noise": "nan"}, "'noise': must be nonnegative and finite, got nan"),
+        ({"kind": "mc", "r": "-1"}, "'r': must be positive, got -1"),
     ], ids=["dim", "lasso-m-negative", "lasso-n", "lasso-m-zero", "gamma-nan", "gamma-inf",
             "eig_min", "l1_weight", "noise-negative", "noise-nan", "mc-r"])
-    def test_out_of_range_problem_value_is_usage_error(self, capsys, spec, message):
-        """The builder that reads the value refuses it, NaN included; where
-        the key is a solve flag, solve exits 2 with the builder's message."""
+    def test_out_of_range_problem_value_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                       spec, message):
+        """The reader of the key refuses it, NaN included, so build_problem,
+        solve (where the key is a flag) and bench refuse it alike: bench exits
+        2 when it loads the config, before any cell runs."""
         with pytest.raises(UsageError, match=message):
             build_problem(spec, 0)
         kind = spec.get("kind", "quadratic")
@@ -585,6 +589,13 @@ class TestConfig:
             flags = [a for key in keys for a in (f"--{key}", spec[key])]
             assert cli_main(["solve", "--problem", kind, *flags, "--max-iters", "1"]) == 2
             assert message in capsys.readouterr().err
+        monkeypatch.chdir(tmp_path)
+        with open("exp.ini", "w") as fh:
+            fh.write("[problem]\n" + "".join(f"{k} = {v}\n" for k, v in spec.items())
+                     + "[run]\nseeds = 0\n[solver a]\nmax_iters = 1\n")
+        assert cli_main(["bench", "--config", "exp.ini"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, key, value", [
         ("logistic", "data", "d.libsvm"), ("logistic", "m", "30"), ("logistic", "n", "4"),
@@ -1044,7 +1055,7 @@ class TestCli:
         """An empty design is a file solve --data cannot read, so gen refuses it."""
         out = tmp_path / "d.libsvm"
         assert cli_main(["gen", *size, "--out", str(out)]) == 2
-        assert "dimensions must be positive" in capsys.readouterr().err
+        assert "must be positive, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_subcommand_exits_2(self, capsys):
@@ -1061,6 +1072,17 @@ class TestCli:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: cannot read ") and argv[-1] in err
+
+    @pytest.mark.parametrize("raw", [bytes(range(128, 256)) * 3,
+                                     b"1 1:0.5\n0 2:1.5\n" + bytes(range(255, 127, -1))],
+                             ids=["first-byte", "third-line"])
+    def test_solve_data_not_utf8_exits_2(self, tmp_path, capsys, raw):
+        """A data file that is not UTF-8 text is a usage error naming it."""
+        data = tmp_path / "d.libsvm"
+        data.write_bytes(raw)
+        assert cli_main(["solve", "--problem", "logistic", "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: data file {data} is not UTF-8 text")
 
     def test_solver_error_exits_1(self, monkeypatch, capsys, nan_problem):
         """An error of the solve that is not a usage error exits 1."""
