@@ -580,6 +580,8 @@ def build_problem(spec, seed: int):
             except UnicodeDecodeError as exc:
                 raise UsageError(f"data file {p['data']} is not UTF-8 text "
                                  f"({exc.reason})") from None
+            except UsageError as exc:  # ParseError included
+                raise UsageError(f"data file {p['data']}: {exc}") from None
         else:
             design = logistic_synthetic(p["m"], p["n"], seed)
         gamma = logistic_gamma(design) if p["gamma"] is None else p["gamma"]

@@ -40,18 +40,35 @@ class CheckResult:
 
 
 def _check(name: str, k, lhs, rhs, tol) -> CheckResult:
-    """The inequality lhs <= rhs + tol at every observation, in array order.
-    A margin that is not <= 0, NaN included, is a failure."""
-    k, lhs, rhs, tol = np.broadcast_arrays(k, lhs, rhs, tol)
+    """The inequality lhs <= rhs + tol at every k, in array order; k is an
+    array and each of lhs, rhs and tol an array of its length or a scalar.
+    A margin that is not <= 0, NaN included, is a failure; the max of the
+    margins propagates NaN, so only a check that fails searches for its first
+    failure."""
     margin = lhs - (rhs + tol)
-    bad = np.flatnonzero(~(margin <= 0.0))
-    first = None
-    if bad.size:
-        i = bad[0]
-        first = (int(k[i]), float(lhs[i]), float(rhs[i]))
     worst = float(margin.max()) if margin.size else -math.inf
-    return CheckResult(name=name, passed=first is None, n_checked=margin.size,
+    first = None
+    if not worst <= 0.0:
+        i = int((~(margin <= 0.0)).argmax())
+        first = (int(k[i]), _at(lhs, i), _at(rhs, i))
+    return CheckResult(name=name, passed=first is None, n_checked=len(k),
                        worst_slack=worst, first_failure=first)
+
+
+def _at(a, i: int) -> float:
+    """Observation i of an array, or the scalar every observation shares."""
+    return float(a[i] if np.ndim(a) else a)
+
+
+def _both(a: CheckResult, b: CheckResult) -> CheckResult:
+    """Two checks over the same k reported as one, under a's name: the earliest
+    first failure, a's at a tied k, and the NaN-propagating max of the two
+    worst slacks."""
+    first = min((c.first_failure for c in (a, b) if c.first_failure is not None),
+                key=lambda f: f[0], default=None)
+    return CheckResult(name=a.name, passed=first is None, n_checked=a.n_checked + b.n_checked,
+                       worst_slack=float(np.maximum(a.worst_slack, b.worst_slack)),
+                       first_failure=first)
 
 
 @dataclass
@@ -216,17 +233,17 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
         report.P = rho_total_value
         lo = report.lam_lower = min(lam0, 1.0 / (2.0 * known_L))
         hi = report.lam_upper = lam0 * _safe_exp(rho_total_value / 2.0)
-        # per k: the lower bound (lam_k >= lo as lhs <= rhs), then the upper
-        report.checks.append(_check(
-            "step_bounds", np.repeat(np.arange(K + 1), 2),
-            np.column_stack((np.full(K + 1, lo), lam)).ravel(),
-            np.column_stack((lam, np.full(K + 1, hi))).ravel(),
-            np.tile([1e-12 * max(1.0, lo), 1e-12 * max(1.0, lam0)], K + 1)))
+        # per k, lam_k >= lo (as lhs <= rhs), reported first at a tied k, and lam_k <= hi
+        kk = np.arange(K + 1)
+        report.checks.append(_both(
+            _check("step_bounds", kk, lo, lam, 1e-12 * max(1.0, lo)),
+            _check("step_bounds", kk, lam, hi, 1e-12 * max(1.0, lam0))))
     else:
         report.skipped.append("step_bounds")
 
-    # (d) Lyapunov weights.
-    omega = lyapunov_weights(lam, rho)
+    # (d) Lyapunov weights, computed only for the checks below that read them.
+    if have_consts or fstar is not None:
+        omega = lyapunov_weights(lam, rho)
     if have_consts:
         try:
             om = lo ** 2 / lam0 ** 2

@@ -1084,6 +1084,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: data file {data} is not UTF-8 text")
 
+    @pytest.mark.parametrize("text, reason", [
+        ("1 1:0.5\n1 2:abc\n", "line 2: malformed token '2:abc'"),
+        ("# a comment\n# another\n", "empty dataset"),
+    ], ids=["malformed-token", "comment-only"])
+    def test_solve_data_that_does_not_parse_exits_2(self, tmp_path, capsys, text, reason):
+        """A data file that does not parse is a usage error naming it, then the reason."""
+        data = tmp_path / "d.libsvm"
+        data.write_text(text)
+        assert cli_main(["solve", "--problem", "logistic", "--data", str(data)]) == 2
+        assert capsys.readouterr().err == f"usage error: data file {data}: {reason}\n"
+
     def test_solver_error_exits_1(self, monkeypatch, capsys, nan_problem):
         """An error of the solve that is not a usage error exits 1."""
         import adaprox.cli

@@ -493,19 +493,91 @@ class TestMonitorIntegration:
 
     @given(st.lists(st.tuples(st.floats(-2.0, 2.0) | st.just(math.nan),
                               st.floats(-2.0, 2.0) | st.just(math.inf)),
-                    max_size=8))
-    def test_check_matches_scalar_loop(self, pairs):
-        lhs = np.array([a for a, _ in pairs])
-        rhs = np.array([b for _, b in pairs])
-        ks = np.arange(3, 3 + len(pairs))
-        margins = [a - (b + 0.1) for a, b in pairs]
-        worst = math.nan if any(map(math.isnan, margins)) else max(margins, default=-math.inf)
-        first = next(((int(k), a, b) for k, (a, b), m in zip(ks, pairs, margins)
-                      if not m <= 0.0), None)
-        c = _check("c", ks, lhs, rhs, 0.1)
-        assert c.n_checked == len(pairs) and c.passed == (first is None)
+                    max_size=8),
+           st.floats(-2.0, 2.0) | st.just(math.nan))
+    def test_check_matches_scalar_loop(self, pairs, s):
+        """_check against a written-out loop, for the shapes the monitor passes:
+        arrays throughout, a scalar lhs (omega_lower), a scalar rhs and tol
+        (step_condition) and a scalar rhs with an array tol (sum_bound)."""
+        n = len(pairs)
+        a, b, tols = [p[0] for p in pairs], [p[1] for p in pairs], np.full(n, 0.1)
+        ks = np.arange(3, 3 + n)
+        for lhs, rhs, tol, lhs_at, rhs_at in [
+                (np.array(a), np.array(b), tols, a, b),
+                (s, np.array(b), 0.1, [s] * n, b),
+                (np.array(a), s, 0.1, a, [s] * n),
+                (np.array(a), s, tols, a, [s] * n)]:
+            margins = [x - (y + 0.1) for x, y in zip(lhs_at, rhs_at)]
+            worst = (math.nan if any(map(math.isnan, margins))
+                     else max(margins, default=-math.inf))
+            first = next(((int(k), x, y) for k, x, y, m in zip(ks, lhs_at, rhs_at, margins)
+                          if not m <= 0.0), None)
+            c = _check("c", ks, lhs, rhs, tol)
+            assert c.n_checked == len(ks) and c.passed == (first is None)
+            np.testing.assert_equal(c.worst_slack, worst)
+            np.testing.assert_equal(c.first_failure, first)
+
+    @staticmethod
+    def scalar_step_bounds(lam, lo, hi, lam0):
+        """step_bounds written out: per k the lower bound lo <= lam_k, then the
+        upper bound lam_k <= hi; the worst slack is NaN once any margin is."""
+        n, worst, first = 0, -math.inf, None
+        for k, lam_k in enumerate(lam):
+            for lhs, rhs, tol in ((lo, lam_k, 1e-12 * max(1.0, lo)),
+                                  (lam_k, hi, 1e-12 * max(1.0, lam0))):
+                margin = lhs - (rhs + tol)
+                n += 1
+                worst = margin if math.isnan(margin) or margin > worst else worst
+                if first is None and not margin <= 0.0:
+                    first = (k, lhs, rhs)
+        return n, worst, first
+
+    # lam0 = 1 and known_L = 1, so lo = 0.5; P = 0.2 gives hi = exp(0.1) ~ 1.105
+    # and P = 1e10 gives hi = inf
+    @pytest.mark.parametrize("P, lams, first, nan_worst", [
+        (0.2, [1.0, 0.9, 0.8], None, False),
+        (0.2, [1.0, 2.0, 0.1], (1, 2.0, math.exp(0.1)), False),
+        (0.2, [1.0, 0.9, math.nan, 2.0], (2, 0.5, math.nan), True),
+        (1e10, [1.0, 0.9, math.inf], (2, math.inf, math.inf), True),
+    ], ids=["pass", "upper-before-lower", "nan-lam-both-fail", "inf-lam-inf-hi"])
+    def test_step_bounds_matches_scalar_loop(self, P, lams, first, nan_worst):
+        """step_bounds' two merged passes against the interleaved scalar loop:
+        the earliest k fails first, the lower bound where both fail at one k
+        (a NaN lam), the worst slack propagates NaN, also when only the upper
+        margin is NaN (inf - inf), and each k counts two observations."""
+        init = IterationRecord(0, 0.0, 0.0, 0.0, lams[0], 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
+        recs = [IterationRecord(k, 0.0, 0.0, 0.0, lam, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
+                for k, lam in enumerate(lams[1:], 1)]
+        rep = monitor_check(Trace("t", "adapgnc", lams[0], init, recs), None, P, known_L=1.0)
+        c = rep.check("step_bounds")
+        n, worst, ref_first = self.scalar_step_bounds(lams, rep.lam_lower, rep.lam_upper, 1.0)
+        assert c.n_checked == n == 2 * len(lams)
+        assert c.passed == (first is None) and math.isnan(c.worst_slack) == nan_worst
         np.testing.assert_equal(c.worst_slack, worst)
+        np.testing.assert_equal(c.first_failure, ref_first)
         np.testing.assert_equal(c.first_failure, first)
+
+    def test_replay_without_constants_computes_no_omega(self, monkeypatch):
+        """With no known_L and no fstar, as on NMF, no check reads the Lyapunov
+        weights, so neither the live monitor nor a replay computes them; the
+        three checks that run equal those of a replay with constants."""
+        shape = FactorShape(p=6, q=5, r=2)
+        p = nmf_problem(nmf_synthetic(6, 2, 5, 0), shape)
+        assert p.smooth.known_L is None and p.known_fstar is None
+        cfg = SolverConfig(engine="adapgnc", max_iters=60, monitor=True)
+        x0 = np.abs(rng(1).standard_normal(shape.dim))
+        res = run(p, x0, cfg)
+        P = rho_total(cfg.rho)
+        with_consts = monitor_check(res.trace, p, P, known_L=100.0, fstar=0.0)
+
+        def no_omega(*args):
+            raise AssertionError("lyapunov_weights called")
+
+        monkeypatch.setattr("adaprox.monitor.lyapunov_weights", no_omega)
+        for rep in (run(p, x0, cfg).report, monitor_check(res.trace, p, P)):
+            assert [c.name for c in rep.checks] == [
+                "fstar_free_descent", "step_condition", "growth_cap"]
+            assert rep.checks == with_consts.checks[:3]
 
     @pytest.mark.parametrize("field", ["F_value", "gradmap_norm", "lam", "L_k",
                                        "l_k", "rho_used"])
