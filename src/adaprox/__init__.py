@@ -24,8 +24,6 @@ from .core import (
     ProxKind,
     SmoothOracle,
     UsageError,
-    composite_value,
-    finite_difference_gradient,
 )
 from .monitor import MonitorReport, monitor_check
 from .prox import (

@@ -14,7 +14,7 @@ Checks are reported under these names, in this order:
   sum_bound                  running sum lam_i^2 ||grad f + h'||^2 <= S
 
 Checks whose inputs are unavailable (no certified L, no reference optimum,
-no residuals streamed by a monitored run) are reported as skipped, never
+no residuals computed by a monitored run) are reported as skipped, never
 silently passed, and an observation whose margin is NaN fails its check.
 """
 
@@ -106,12 +106,35 @@ class MonitorReport:
         return lines
 
 
-def squared_residual(x_prev, x, lam_prev: float, g_prev, g) -> float:
-    """sum_bound's term ||grad f(x_k) + h'_k||^2 at step k, with h'_k =
-    (x_{k-1} - x_k)/lam_{k-1} - grad f(x_{k-1}) implied by the prox step.
-    The method sum skips np.sum's wrapper; it rounds the same."""
-    r = g + ((x_prev - x) / lam_prev - g_prev)
-    return (r * r).sum()
+#: run() computes sum_bound's residuals once per block of steps: at most
+#: _BLOCK_STEPS of them, and at most _BLOCK_BYTES of vectors, counting the dx
+#: and grad it holds for each step and their rows in the block's stacks.
+_BLOCK_STEPS = 64
+_BLOCK_BYTES = 1 << 20
+
+
+def residual_block_steps(n: int) -> int:
+    """The steps in a block of residuals for iterates of dimension n."""
+    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (32 * n)))
+
+
+def block_residuals(dxs, grads, lams) -> np.ndarray:
+    """sum_bound's terms ||grad f(x_k) + h'_k||^2 over a block of steps k, with
+    h'_k = (x_{k-1} - x_k)/lam_{k-1} - grad f(x_{k-1}) implied by the prox
+    step, from the block's dx_k = x_k - x_{k-1}, its lam_{k-1} and grad f at
+    x_{k-1} for its first step and at x_k for each step (one more than dxs).
+
+    The residual is formed as grad f(x_k) - (dx_k/lam_{k-1} + grad f(x_{k-1})):
+    IEEE subtraction and division are sign-symmetric, so this rounds each
+    entry as the written-out form does, and each C-contiguous row is summed
+    pairwise, as a 1-D sum is."""
+    G = np.array(grads)
+    r = np.array(dxs)
+    r /= np.array(lams)[:, None]
+    r += G[:-1]
+    np.subtract(G[1:], r, out=r)
+    r *= r
+    return r.sum(axis=1)
 
 
 def _safe_exp(z: float) -> float:
@@ -180,9 +203,10 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     or max(1, lam0) for lam_upper.
     Only traces of the branch-rule engines are accepted; other engines carry
     no such guarantees. A known_L that is not positive and finite, an
-    fstar that is not finite, or a trace whose lambda0 is not positive and
-    finite or not the k=0 record's lambda (run writes the two equal), is a
-    UsageError.
+    fstar that is not finite, a rho_total_value that is NaN or negative
+    (+inf is accepted: the bounds it enters are then vacuous), or a trace
+    whose lambda0 is not positive and finite or not the k=0 record's lambda
+    (run writes the two equal), is a UsageError.
 
     The replay runs under one np.errstate that ignores every floating-point
     error: an overflow, a NaN or a root of a negative shows in the report,
@@ -192,6 +216,8 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
         raise UsageError(
             f"monitor covers engines {MONITORED_ENGINES}, got {trace.engine!r}")
     known_L, fstar = monitor_constants(problem, known_L=known_L, fstar=fstar)
+    if rho_total_value is not None and not rho_total_value >= 0.0:
+        raise UsageError(f"rho_total_value must be nonnegative, got {rho_total_value}")
     lam0 = trace.lambda0
     if not 0.0 < lam0 < math.inf or lam0 != trace.init.lam:
         raise UsageError(f"trace lambda0 must be positive, finite and the k=0 record's "
@@ -276,7 +302,7 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
                                "complexity_bound_realized"])
 
     # (f) bound on the running weighted subgradient-residual sum; needs the
-    # constants above and the residuals streamed by run().
+    # constants above and the residuals computed by run().
     sq = trace.residual_sq
     if fstar is not None and have_consts and K >= 1 and sq is not None:
         try:

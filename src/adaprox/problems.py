@@ -292,7 +292,7 @@ def quadratic_problem(eigenvalues: Sequence[float], seed: int = 0) -> CompositeP
 
     def value_and_gradient(x: Vector):
         g = Q @ x
-        return 0.5 * float(np.dot(x, g)), g
+        return 0.5 * float(x.dot(g)), g
 
     fstar = 0.0 if np.min(e) >= 0.0 else None
     smooth = SmoothOracle(value=value, value_and_gradient=value_and_gradient,

@@ -122,8 +122,9 @@ class IterationRecord:
 class Trace:
     """Initialization record (k=0) plus one record per loop iteration.
 
-    ``residual_sq[k-1]`` is sum_bound's squared residual at record k, streamed
-    by ``run`` when the monitor checks sum_bound; it is not persisted."""
+    ``residual_sq[k-1]`` is sum_bound's squared residual at record k,
+    computed by ``run`` once per block of steps when the monitor checks
+    sum_bound; it is not persisted."""
 
     problem_name: str
     engine: str
@@ -174,12 +175,9 @@ def _prox_step_record(problem: CompositeProblem, k: int, x: Vector, f: float,
     dx = x_next - x
     nd = math.sqrt(dx.dot(dx))  # np.linalg.norm's own formula, without its overhead
     c = problem.counters
-    rec = IterationRecord(
-        k=k, f_value=f, F_value=f + problem.h_value(x),
-        gradmap_norm=nd / lam, lam=lam,
-        L_k=curv.L_k, l_k=curv.l_k, rho_used=rho_used, elapsed_seconds=elapsed,
-        n_value=c.n_value, n_gradient=c.n_gradient, n_prox=c.n_prox,
-    )
+    # positional, in field order: keywords cost about three times as much
+    rec = IterationRecord(k, f, f + problem.h_value(x), nd / lam, lam, curv.L_k, curv.l_k,
+                          rho_used, elapsed, c.n_value, c.n_gradient, c.n_prox)
     return x_next, dx, nd, rec
 
 
@@ -193,23 +191,23 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
 
     Only the last kept record carries its x and grad. With the monitor on and
     the problem's known_L and known_fstar both set, sum_bound's residuals are
-    streamed into the trace. With the monitor on, a known_L or known_fstar
-    that the monitor refuses is a UsageError before any oracle call, and so is
-    a ``smooth_only`` engine with an h that is not Zero: gd-ls's Armijo test
-    on f alone says nothing of F = f + h."""
+    computed into the trace once per block of kept steps. With the monitor
+    on, a known_L or known_fstar that the monitor refuses is a UsageError
+    before any oracle call, and so is a ``smooth_only`` engine with an h that
+    is not Zero: gd-ls's Armijo test on f alone says nothing of F = f + h."""
     config.validate()
     engine = ENGINES[config.engine]
     if engine.smooth_only and not isinstance(problem.nonsmooth, Zero):
         raise UsageError(f"{config.engine} steps on f alone and needs h = 0, "
                          f"got {type(problem.nonsmooth).__name__}")
-    residuals = None
+    dxs = None  # with sum_bound checked: the current block's dx, grad and lam_prev
     if config.monitor:
-        from .monitor import monitor_constants, squared_residual
+        from .monitor import block_residuals, monitor_constants, residual_block_steps
 
         # refuse a bad known_L or known_fstar before any oracle call
         known_L, fstar = monitor_constants(problem)
         if known_L is not None and fstar is not None:
-            residuals = []
+            dxs, lams, residuals = [], [], []
     problem.counters.reset()
     t0 = time.perf_counter()
 
@@ -220,8 +218,10 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         raise NumericalDomainError("non-finite f or grad f at x0")
     # lam, lam_prev: lambda_{k-1}, lambda_{k-2}; lambda_{-1} = lambda_0 convention
     lam = lam_prev = config.lambda0
-    x_next, dx, nd, rec = _prox_step_record(problem, 0, x, f, grad, lam, _NO_CURVATURE,
-                                            math.nan, 0.0)
+    x_next, dx_next, nd, rec = _prox_step_record(problem, 0, x, f, grad, lam,
+                                                 _NO_CURVATURE, math.nan, 0.0)
+    if dxs is not None:
+        block, grads = residual_block_steps(x.size), [grad]
     trace = Trace(problem_name=problem.name, engine=config.engine, lambda0=lam, init=rec,
                   seed=seed)
     best_F, best_x = rec.F_value, x  # no iterate is changed in place; copied once below
@@ -234,7 +234,8 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         termination, x = "non_finite", x.copy()
 
     for k in (itertools.count(1) if finite else ()):
-        x_prev, x = x, x_next  # x_k, the prox step of the kept record k - 1
+        # x_k and x_k - x_{k-1}, the prox step of the kept record k - 1
+        x, dx = x_next, dx_next
         if rec.gradmap_norm <= config.gradmap_tol:
             termination = "tol"
             break
@@ -261,22 +262,29 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         lam_prev, lam = lam, engine.step(lam, lam_prev, rho_used, curv, dx, dg,
                                          problem, x, f, grad)
 
-        x_next, dx, nd, rec = _prox_step_record(problem, k, x, f, grad, lam, curv,
-                                                rho_used, elapsed)
+        x_next, dx_next, nd, rec = _prox_step_record(problem, k, x, f, grad, lam, curv,
+                                                     rho_used, elapsed)
         if not (math.isfinite(rec.f_value) and math.isfinite(rec.gradmap_norm)):
             termination = "non_finite"
             break
         trace.records.append(rec)
         x_rec, grad_rec = x, grad
-        if residuals is not None:
-            residuals.append(squared_residual(x_prev, x, lam_prev, grad_prev, grad))
+        if dxs is not None:  # references: no copy, no vector operation
+            dxs.append(dx)
+            grads.append(grad)
+            lams.append(lam_prev)
+            if len(dxs) == block:
+                residuals.append(block_residuals(dxs, grads, lams))
+                dxs, grads, lams = [], [grad], []
         if rec.F_value < best_F:
             best_F, best_x = rec.F_value, x
 
     last = trace.records[-1] if trace.records else trace.init
     last.x, last.grad = x_rec.copy(), grad_rec.copy()
-    if residuals is not None:
-        trace.residual_sq = np.array(residuals)
+    if dxs is not None:
+        if dxs:
+            residuals.append(block_residuals(dxs, grads, lams))
+        trace.residual_sq = np.concatenate(residuals) if residuals else np.empty(0)
     trace.termination = termination
     result = RunResult(trace=trace, best=best_x.copy(), best_F=best_F, x_final=x)
     if config.monitor:

@@ -1,0 +1,49 @@
+"""Test-side helpers: the composite value F = f + h at a point, and the
+central-difference gradient the oracle tests check gradients against. The
+solver reaches neither; it evaluates F through its own counted oracle calls."""
+
+import numpy as np
+
+from adaprox.core import (
+    CompositeProblem,
+    NumericalDomainError,
+    SmoothOracle,
+    UsageError,
+    Vector,
+    as_point,
+    check_finite,
+)
+
+
+def composite_value(problem: CompositeProblem, x: Vector) -> float:
+    """F(x) = f(x) + h(x), possibly +inf outside dom h. Increments n_value."""
+    x = as_point(x)
+    problem.check_point(x)
+    fx = problem.f_value(x)
+    if not np.isfinite(fx):
+        raise NumericalDomainError(f"smooth value non-finite at x (problem {problem.name!r})")
+    return fx + problem.h_value(x)
+
+
+def finite_difference_gradient(oracle: SmoothOracle, x: Vector, h: float) -> Vector:
+    """Central-difference gradient, the independent check oracle for gradients.
+
+    Coordinate i gets (f(x + h e_i) - f(x - h e_i)) / (2h).
+    """
+    if not 1e-9 <= h <= 1e-3:
+        raise UsageError(f"finite-difference width must lie in [1e-9, 1e-3], got {h}")
+    x = as_point(x)
+    check_finite(x)
+    g = np.empty_like(x)
+    probe = x.copy()
+    for i in range(x.size):
+        xi = x[i]
+        probe[i] = xi + h
+        fp = oracle.value(probe)
+        probe[i] = xi - h
+        fm = oracle.value(probe)
+        probe[i] = xi
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericalDomainError(f"non-finite probe value at coordinate {i}")
+        g[i] = (fp - fm) / (2.0 * h)
+    return g

@@ -284,7 +284,7 @@ def test_criterion_6_bb_variant_properties():
 
 
 def test_criterion_7_oracle_suites():
-    from adaprox import finite_difference_gradient
+    from helpers import finite_difference_gradient
     from adaprox.problems import mc_problem, mc_synthetic
 
     t0 = time.perf_counter()

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import composite_value, finite_difference_gradient
+
 from adaprox import (
     CompositeProblem,
     NumericalDomainError,
     SmoothOracle,
     UsageError,
-    composite_value,
-    finite_difference_gradient,
 )
 from adaprox.prox import L1, NonnegIndicator, Zero
 from adaprox.problems import logistic_problem, logistic_synthetic

@@ -8,7 +8,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaprox import UsageError, composite_value, finite_difference_gradient, problems
+from helpers import composite_value, finite_difference_gradient
+
+from adaprox import UsageError, problems
 from adaprox.problems import (
     FactorShape,
     ObservationSet,

@@ -22,7 +22,13 @@ from adaprox import (
     run,
 )
 from adaprox.adaptive import rho_total
-from adaprox.monitor import _check, lyapunov_weights
+from adaprox.monitor import (
+    _BLOCK_BYTES,
+    _BLOCK_STEPS,
+    _check,
+    lyapunov_weights,
+    residual_block_steps,
+)
 from adaprox.prox import Zero
 from adaprox.problems import (
     FactorShape,
@@ -649,6 +655,21 @@ class TestMonitorIntegration:
             with pytest.raises(UsageError, match="lambda0"):
                 monitor_check(res.trace, *args)
 
+    @pytest.mark.parametrize("P", [-10.0, math.nan, -math.inf])
+    def test_bad_rho_total_refused(self, P):
+        """A NaN or negative rho total is a UsageError naming it, not a
+        step_bounds failure at k = 0 against an inverted bound."""
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+        res = run(p, np.ones(3), SolverConfig(engine="adapgnc", max_iters=10))
+        with pytest.raises(UsageError, match=f"rho_total_value .* got {P}$"):
+            monitor_check(res.trace, p, P)
+
+    def test_infinite_rho_total_gives_vacuous_bounds(self):
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+        res = run(p, np.ones(3), SolverConfig(engine="adapgnc", max_iters=10))
+        rep = monitor_check(res.trace, p, math.inf)
+        assert rep.passed and rep.lam_upper == math.inf and rep.omega_lower == 0.0
+
     def test_rho_below_minus_one_gives_negative_then_nan_weights(self):
         """1 + rho_1 = -4 makes omega_1 negative; sqrt(1 + rho_1) has no real
         root, so omega_2 and the weights after it are NaN."""
@@ -798,6 +819,79 @@ def test_live_sum_bound_equals_replay_over_kept_iterates(data):
     if res.trace.records:
         assert res.report.skipped == []
         assert res.report.check("sum_bound").n_checked == len(res.trace.records)
+
+
+def monitored_quadratic_run(n, max_iters):
+    """A monitored adapgnc run on an ill-conditioned n-dimensional quadratic
+    whose steps neither stagnate nor meet the tolerance within max_iters."""
+    problem = quadratic_problem(np.geomspace(1e-4, 1.0, n), seed=3)
+    x0 = rng(4).standard_normal(n)
+    res = run(problem, x0, SolverConfig(max_iters=max_iters, monitor=True))
+    assert len(res.trace.records) == max_iters and res.report.skipped == []
+    return problem, x0, res
+
+
+def test_residuals_across_block_boundaries():
+    """Two full blocks of residuals and a remainder equal the written-out
+    recomputation bit for bit (n <= 5, where NumPy sums in order)."""
+    block = residual_block_steps(5)
+    assert block == _BLOCK_STEPS
+    problem, x0, res = monitored_quadratic_run(5, 2 * block + 17)
+    xs, gs = replay_iterates(problem, x0, res)
+    lams = [r.lam for r in res.trace.all_records()]
+    written = written_out_residuals(xs, gs, lams)
+    assert res.trace.residual_sq.tobytes() == written.tobytes()
+
+
+def test_residuals_in_blocks_equal_per_step_sums():
+    """At n = 100 NumPy sums each residual pairwise: the blocked rows equal a
+    per-step (r * r).sum() of g_k + ((x_{k-1} - x_k)/lam_{k-1} - g_{k-1})."""
+    n = 100
+    block = residual_block_steps(n)
+    problem, x0, res = monitored_quadratic_run(n, 2 * block + 17)
+    xs, gs = replay_iterates(problem, x0, res)
+    lams = [r.lam for r in res.trace.all_records()]
+    per_step = []
+    for k in range(1, len(xs)):
+        r = gs[k] + ((xs[k - 1] - xs[k]) / lams[k - 1] - gs[k - 1])
+        per_step.append((r * r).sum())
+    assert res.trace.residual_sq.tobytes() == np.array(per_step).tobytes()
+
+
+def test_no_iterations_keep_empty_float64_residuals():
+    res = run(quadratic_problem([0.5, 1.0, 2.0], seed=1), np.ones(3),
+              SolverConfig(max_iters=0, monitor=True))
+    sq = res.trace.residual_sq
+    assert sq is not None and sq.dtype == np.float64 and sq.shape == (0,)
+
+
+def test_residual_block_memory_is_bounded_at_large_n():
+    """At n = 2**15 the monitor's blocks add to the unmonitored peak no more
+    than the block budget plus a few n-vectors."""
+    n, K = 2**15, 40
+    d = np.geomspace(1e-4, 1.0, n)  # f = 0.5 sum d_i x_i^2, a diagonal quadratic
+
+    def value_and_gradient(x):
+        g = d * x
+        return 0.5 * float(x.dot(g)), g
+
+    big = CompositeProblem(SmoothOracle(value=lambda x: 0.5 * float(x.dot(d * x)),
+                                        value_and_gradient=value_and_gradient, known_L=1.0),
+                           Zero(), known_fstar=0.0)
+    x0 = np.ones(n)
+
+    def peak(monitor):
+        tracemalloc.start()
+        try:
+            res = run(big, x0, SolverConfig(max_iters=K, monitor=monitor))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace.records) == K
+        assert not monitor or res.report.skipped == []
+        return peak
+
+    assert peak(True) - peak(False) <= _BLOCK_BYTES + 4 * 8 * n
 
 
 def test_monitored_memory_is_flat_in_iterations():
