@@ -624,9 +624,9 @@ class ComparisonRow:
 def run_experiment(config: ExperimentConfig):
     """Execute every (solver, seed) cell, persist one trace per cell, and
     return comparison rows with OptGap measured against the grid minimum."""
-    os.makedirs(config.out_dir, exist_ok=True)
     probe = os.path.join(config.out_dir, ".writable")
     try:
+        os.makedirs(config.out_dir, exist_ok=True)
         with open(probe, "w") as fh:
             fh.write("")
         os.remove(probe)

@@ -14,8 +14,11 @@ Checks are reported under these names, in this order:
   sum_bound                  running sum lam_i^2 ||grad f + h'||^2 <= S
 
 Checks whose inputs are unavailable (no certified L, no reference optimum,
-no residuals computed by a monitored run) are reported as skipped, never
-silently passed, and an observation whose margin is NaN fails its check.
+no residuals) are reported as skipped, never silently passed, and an
+observation whose margin is NaN fails its check. sum_bound's residuals are
+Trace.residual_sq: one scalar per kept step, which only a monitored run
+computes, in the expanded form ||dg||^2 - 2<dg, dx>/lam_{k-1} + ||dx||^2/lam_{k-1}^2
+(see solver.run); a trace file holds none.
 """
 
 from __future__ import annotations
@@ -104,37 +107,6 @@ class MonitorReport:
         for name in self.skipped:
             lines.append(f"{name}: skipped (inputs unavailable)")
         return lines
-
-
-#: run() computes sum_bound's residuals once per block of steps: at most
-#: _BLOCK_STEPS of them, and at most _BLOCK_BYTES of vectors, counting the dx
-#: and grad it holds for each step and their rows in the block's stacks.
-_BLOCK_STEPS = 64
-_BLOCK_BYTES = 1 << 20
-
-
-def residual_block_steps(n: int) -> int:
-    """The steps in a block of residuals for iterates of dimension n."""
-    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (32 * n)))
-
-
-def block_residuals(dxs, grads, lams) -> np.ndarray:
-    """sum_bound's terms ||grad f(x_k) + h'_k||^2 over a block of steps k, with
-    h'_k = (x_{k-1} - x_k)/lam_{k-1} - grad f(x_{k-1}) implied by the prox
-    step, from the block's dx_k = x_k - x_{k-1}, its lam_{k-1} and grad f at
-    x_{k-1} for its first step and at x_k for each step (one more than dxs).
-
-    The residual is formed as grad f(x_k) - (dx_k/lam_{k-1} + grad f(x_{k-1})):
-    IEEE subtraction and division are sign-symmetric, so this rounds each
-    entry as the written-out form does, and each C-contiguous row is summed
-    pairwise, as a 1-D sum is."""
-    G = np.array(grads)
-    r = np.array(dxs)
-    r /= np.array(lams)[:, None]
-    r += G[:-1]
-    np.subtract(G[1:], r, out=r)
-    r *= r
-    return r.sum(axis=1)
 
 
 def _safe_exp(z: float) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,7 +113,6 @@ class ObservationSet:
     s: np.ndarray
     p: int
     q: int
-    ground_truth: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
         self.i = np.asarray(self.i, dtype=np.intp)
@@ -258,15 +257,15 @@ def lasso_problem(A: np.ndarray, b: Vector, l1_weight: float) -> CompositeProble
                             name="lasso", dim=A.shape[1])
 
 
-def lasso_synthetic(m: int, n: int, seed: int, density: float = 0.1,
-                    noise: float = 0.01) -> Tuple[np.ndarray, Vector, float]:
-    """Random instance (A, b, l1_weight) with a planted sparse signal."""
+def lasso_synthetic(m: int, n: int, seed: int) -> Tuple[np.ndarray, Vector, float]:
+    """Random instance (A, b, l1_weight): b = A x_true plus N(0, 0.01^2) noise,
+    for a planted signal whose entries are each nonzero with probability 0.1."""
     if min(m, n) < 1:
         raise UsageError(f"dimensions must be positive, got m = {m}, n = {n}")
     gen = rng(seed)
     A = gen.standard_normal((m, n))
-    x_true = np.where(gen.random(n) < density, gen.standard_normal(n), 0.0)
-    b = A @ x_true + noise * gen.standard_normal(m)
+    x_true = np.where(gen.random(n) < 0.1, gen.standard_normal(n), 0.0)
+    b = A @ x_true + 0.01 * gen.standard_normal(m)
     weight = 0.1 * float(np.max(np.abs(A.T @ b)))
     return A, b, weight
 
@@ -388,10 +387,7 @@ def mc_problem(obs: ObservationSet, shape: FactorShape) -> CompositeProblem:
 
 
 def mc_synthetic(p: int, q: int, r: int, N: int, noise: float, seed: int) -> ObservationSet:
-    """Observations of a planted rank-r product, sampled without replacement.
-
-    The planted factors ride along in ``ground_truth`` for diagnostics.
-    """
+    """Observations of a planted rank-r product, sampled without replacement."""
     if not 0.0 <= noise < math.inf:
         raise UsageError(f"noise must be nonnegative and finite, got {noise}")
     if N > p * q:
@@ -406,4 +402,4 @@ def mc_synthetic(p: int, q: int, r: int, N: int, noise: float, seed: int) -> Obs
     s = np.einsum("kr,kr->k", Ustar[i], Vstar[j])
     if noise > 0.0:
         s = s + noise * gen.standard_normal(N)
-    return ObservationSet(i=i, j=j, s=s, p=p, q=q, ground_truth=(Ustar, Vstar))
+    return ObservationSet(i=i, j=j, s=s, p=p, q=q)

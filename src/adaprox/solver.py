@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, List, Optional
@@ -122,9 +123,9 @@ class IterationRecord:
 class Trace:
     """Initialization record (k=0) plus one record per loop iteration.
 
-    ``residual_sq[k-1]`` is sum_bound's squared residual at record k,
-    computed by ``run`` once per block of steps when the monitor checks
-    sum_bound; it is not persisted."""
+    ``residual_sq[k-1]`` is sum_bound's squared residual at record k, one
+    float64 per kept step, computed by ``run`` when the monitor checks
+    sum_bound (``None`` otherwise); it is not persisted."""
 
     problem_name: str
     engine: str
@@ -190,8 +191,10 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     for k = 0, and x_final is its iterate).
 
     Only the last kept record carries its x and grad. With the monitor on and
-    the problem's known_L and known_fstar both set, sum_bound's residuals are
-    computed into the trace once per block of kept steps. With the monitor
+    the problem's known_L and known_fstar both set, each kept step also gives
+    sum_bound's squared residual ||grad f(x_k) + h'_k||^2 = ||dg - dx/lam_{k-1}||^2
+    in expanded form: ||dg||^2 = (L_k ||dx||)^2 from the curvature pair and one
+    dot <dg, dx>, so no vector is held for the monitor. With the monitor
     on, a known_L or known_fstar that the monitor refuses is a UsageError
     before any oracle call, and so is a ``smooth_only`` engine with an h that
     is not Zero: gd-ls's Armijo test on f alone says nothing of F = f + h."""
@@ -200,14 +203,14 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     if engine.smooth_only and not isinstance(problem.nonsmooth, Zero):
         raise UsageError(f"{config.engine} steps on f alone and needs h = 0, "
                          f"got {type(problem.nonsmooth).__name__}")
-    dxs = None  # with sum_bound checked: the current block's dx, grad and lam_prev
+    residual_sq = None  # with sum_bound checked: one float64 per kept step
     if config.monitor:
-        from .monitor import block_residuals, monitor_constants, residual_block_steps
+        from .monitor import monitor_constants
 
         # refuse a bad known_L or known_fstar before any oracle call
         known_L, fstar = monitor_constants(problem)
         if known_L is not None and fstar is not None:
-            dxs, lams, residuals = [], [], []
+            residual_sq = array("d")
     problem.counters.reset()
     t0 = time.perf_counter()
 
@@ -220,8 +223,6 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     lam = lam_prev = config.lambda0
     x_next, dx_next, nd, rec = _prox_step_record(problem, 0, x, f, grad, lam,
                                                  _NO_CURVATURE, math.nan, 0.0)
-    if dxs is not None:
-        block, grads = residual_block_steps(x.size), [grad]
     trace = Trace(problem_name=problem.name, engine=config.engine, lambda0=lam, init=rec,
                   seed=seed)
     best_F, best_x = rec.F_value, x  # no iterate is changed in place; copied once below
@@ -261,6 +262,9 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
             rho_used = rho_value(config.rho, k - 1, lambda_ratio=lam / lam_prev)
         lam_prev, lam = lam, engine.step(lam, lam_prev, rho_used, curv, dx, dg,
                                          problem, x, f, grad)
+        if residual_sq is not None:  # every monitored engine estimates curvature
+            t = nd / lam_prev
+            r_sq = (curv.L_k * nd) ** 2 - 2.0 * float(dg.dot(dx)) / lam_prev + t * t
 
         x_next, dx_next, nd, rec = _prox_step_record(problem, k, x, f, grad, lam, curv,
                                                      rho_used, elapsed)
@@ -269,22 +273,16 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
             break
         trace.records.append(rec)
         x_rec, grad_rec = x, grad
-        if dxs is not None:  # references: no copy, no vector operation
-            dxs.append(dx)
-            grads.append(grad)
-            lams.append(lam_prev)
-            if len(dxs) == block:
-                residuals.append(block_residuals(dxs, grads, lams))
-                dxs, grads, lams = [], [grad], []
+        if residual_sq is not None:
+            residual_sq.append(max(r_sq, 0.0))  # a rounded-below-0 square is 0
         if rec.F_value < best_F:
             best_F, best_x = rec.F_value, x
 
     last = trace.records[-1] if trace.records else trace.init
     last.x, last.grad = x_rec.copy(), grad_rec.copy()
-    if dxs is not None:
-        if dxs:
-            residuals.append(block_residuals(dxs, grads, lams))
-        trace.residual_sq = np.concatenate(residuals) if residuals else np.empty(0)
+    if residual_sq is not None:
+        # an exact-size copy: the array's growth slack would stay with the trace
+        trace.residual_sq = np.array(residual_sq, dtype=np.float64)
     trace.termination = termination
     result = RunResult(trace=trace, best=best_x.copy(), best_F=best_F, x_final=x)
     if config.monitor:

@@ -178,6 +178,12 @@ class TestRhoSequences:
         for k in range(1, 200):
             assert rho_value(r1, k, lambda_ratio=3.0) <= rho_value(r2, k)
 
+    def test_zero_is_rho0_then_zero(self):
+        for seq in (RhoSequence.zero(), RhoSequence.zero(rho0=0.5)):
+            assert rho_value(seq, 0) == seq.rho0
+            assert all(rho_value(seq, k) == 0.0 for k in range(1, 100))
+        assert rho_value(RhoSequence.zero(), 0) == 0.0
+
     def test_rho_total_zero_and_custom(self):
         assert rho_total(RhoSequence.zero(rho0=0.0)) == 0.0
         assert rho_total(RhoSequence.custom([2.0, 3.0])) == 5.0

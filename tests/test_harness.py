@@ -804,6 +804,23 @@ class TestCli:
         assert code == 0
         assert "step_condition: pass" in capsys.readouterr().out
 
+    def test_solve_monitor_failure_exits_3(self, monkeypatch, capsys):
+        """A known_fstar above F(x0) + lambda0 ||G0||^2 / 2 makes V0 negative,
+        which complexity_bound_realized fails at k = 1: `solve --monitor`
+        prints the failure and exits 3."""
+        def build(spec, seed):
+            p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+            init = run(p, np.ones(3), SolverConfig(max_iters=0)).trace.init
+            p.known_fstar = init.F_value + 0.5 * 1.0 * init.gradmap_norm ** 2 + 1.0
+            return p, np.ones(3)
+
+        monkeypatch.setattr("adaprox.cli.build_problem", build)
+        assert cli_main(["solve", "--max-iters", "20", "--lambda0", "1.0", "--monitor"]) == 3
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "complexity_bound_realized" in ln]
+        assert line.startswith("  monitor complexity_bound_realized: FAIL [")
+        assert "(k=1: lhs=" in line
+
     def test_check_clean_trace(self, tmp_path, capsys):
         out = str(tmp_path / "trace.json")
         assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
@@ -984,6 +1001,25 @@ class TestCli:
                      "[solver branch]\nengine = adapgnc\nmax_iters = 10\n" % out_dir)
         assert cli_main(["bench", "--config", cfgfile]) == 0
         assert os.path.exists(os.path.join(out_dir, "summary.json"))
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_bench_out_on_a_file_exits_2(self, tmp_path, capsys, sub):
+        """An output directory that is an existing file, or lies under one, is
+        a usage error naming the directory, and no summary is written."""
+        blocker = tmp_path / "f"
+        blocker.write_text("x")
+        out_dir = str(blocker / sub) if sub else str(blocker)
+        cfgfile = str(tmp_path / "exp.ini")
+        with open(cfgfile, "w") as fh:
+            fh.write("[problem]\nkind = quadratic\ndim = 4\n"
+                     "[run]\nseeds = 0\nout = %s\n"
+                     "[solver branch]\nmax_iters = 10\n" % out_dir)
+        assert cli_main(["bench", "--config", cfgfile]) == 2
+        captured = capsys.readouterr()
+        assert f"usage error: output directory not writable: {out_dir}: " in captured.err
+        assert "summary" not in captured.out
+        assert not os.path.exists(os.path.join(out_dir, "summary.json"))
+        assert blocker.read_text() == "x"
 
     @pytest.mark.parametrize(
         "flags",

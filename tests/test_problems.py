@@ -453,7 +453,8 @@ class TestMatrixCompletion:
 
     def test_synthetic_noise_free_matches_planted_product(self):
         obs = mc_synthetic(5, 4, 2, 10, noise=0.0, seed=8)
-        Ustar, Vstar = obs.ground_truth
+        gen = rng(8)  # the planted factors are the seed's first two draws
+        Ustar, Vstar = gen.standard_normal((5, 2)), gen.standard_normal((4, 2))
         want = np.einsum("kr,kr->k", Ustar[obs.i], Vstar[obs.j])
         assert np.array_equal(obs.s, want)
 
