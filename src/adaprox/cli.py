@@ -96,7 +96,7 @@ def _cmd_solve(args) -> int:
     result = run(problem, x0, config, seed=args.seed)
     trace = result.trace
     print(f"{problem.name}: {config.engine} terminated by {trace.termination} "
-          f"after {len(trace.records)} iterations; "
+          f"after {trace.iterations} iterations; "
           f"best F = {result.best_F:.10e}, min ||G|| = {trace.min_gradmap():.3e}")
     if result.report is not None:
         for line in result.report.summary_lines():

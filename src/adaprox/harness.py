@@ -32,7 +32,15 @@ from .problems import (
     quadratic_problem,
     rng,
 )
-from .solver import ENGINES, TERMINATIONS, IterationRecord, SolverConfig, Trace, run
+from .solver import (
+    ENGINES,
+    TERMINATIONS,
+    TRACE_DTYPE,
+    TRACE_SCHEMA,
+    SolverConfig,
+    Trace,
+    run,
+)
 
 
 class ParseError(UsageError):
@@ -289,29 +297,11 @@ def write_libsvm(design: SparseDesign, stream) -> None:
 # ---------------------------------------------------------------------------
 # Trace persistence
 
-#: The persisted trace columns: (column, IterationRecord field, dtype), in the
-#: record's field order, so that the reader builds records from the columns
-#: positionally. Each column is stored as the base64 of its values' bytes in
-#: that NumPy dtype: little-endian int64 for the counters, float64 otherwise.
-TRACE_SCHEMA = (
-    ("k", "k", "<i8"),
-    ("f", "f_value", "<f8"),
-    ("F", "F_value", "<f8"),
-    ("gradmap_norm", "gradmap_norm", "<f8"),
-    ("lambda", "lam", "<f8"),
-    ("L_k", "L_k", "<f8"),
-    ("l_k", "l_k", "<f8"),
-    ("rho", "rho_used", "<f8"),
-    ("elapsed_s", "elapsed_seconds", "<f8"),
-    ("n_value", "n_value", "<i8"),
-    ("n_grad", "n_gradient", "<i8"),
-    ("n_prox", "n_prox", "<i8"),
-)
-
 #: The layout of a trace file, written as its metadata "version".
 TRACE_VERSION = 3
 
-#: The metadata "dtypes" map: each column's NumPy dtype string.
+#: The metadata "dtypes" map: each TRACE_SCHEMA column's NumPy dtype string.
+#: Each column is stored as the base64 of its values' bytes in that dtype.
 TRACE_DTYPES = {c: dt for c, _, dt in TRACE_SCHEMA}
 
 
@@ -329,8 +319,8 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
     TRACE_SCHEMA column, holding its values' raw bytes, k = 0 first. ``fmt``
     must be "json".
 
-    Each column is gathered by Trace.column and encoded on its own, which
-    bounds the writer's memory at one column's encoding."""
+    Each column is copied out of the trace's rows and encoded on its own,
+    which bounds the writer's memory at one column's encoding."""
     if fmt != "json":
         raise UsageError(f"unknown trace format {fmt!r}")
     metadata = {key: getattr(trace, attr) for key, attr, _, _ in _METADATA if attr}
@@ -341,9 +331,9 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(head)
         sep = b"\n"
-        for c, f, dt in TRACE_SCHEMA:
+        for c, f, _ in TRACE_SCHEMA:
             fh.write(sep + f'"{c}": "'.encode())
-            fh.write(base64.b64encode(trace.column(f, dt).tobytes()))
+            fh.write(base64.b64encode(trace.rows[f].tobytes()))
             fh.write(b'"')
             sep = b",\n"
         fh.write(b"\n}}\n")
@@ -367,8 +357,8 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not RFC 8259 JSON")
 
 
-def _read_column(name: str, text, dtype: str) -> list:
-    """A column's base64 string as the list of its values, bit for bit."""
+def _read_column(name: str, text, dtype: str) -> np.ndarray:
+    """A column's base64 string as the array of its values, bit for bit."""
     if type(text) is not str:
         raise ValueError(f"column {name!r} is not a string")
     try:
@@ -377,7 +367,7 @@ def _read_column(name: str, text, dtype: str) -> list:
         raise ValueError(f"column {name!r} is not base64: {exc}") from None
     if len(raw) % 8:
         raise ValueError(f"column {name!r} holds {len(raw)} bytes, not a multiple of 8")
-    return np.frombuffer(raw, dtype).tolist()
+    return np.frombuffer(raw, dtype)
 
 
 def read_trace(path: str) -> Trace:
@@ -388,7 +378,8 @@ def read_trace(path: str) -> Trace:
     be read.
 
     Each column's string is dropped as it is decoded, so the file's text and
-    the decoded values are not all held at once."""
+    the decoded values are not all held at once; the columns are then copied
+    into the trace's rows."""
     try:
         with open(path) as fh:
             payload = json.load(fh, parse_constant=_reject_constant)
@@ -402,12 +393,15 @@ def read_trace(path: str) -> Trace:
             raise ValueError("columns of unequal length: " + ", ".join(
                 f"{c} {len(v)}" for (c, _, _), v in zip(TRACE_SCHEMA, cols)))
         # the monitor numbers observations by position, so k must be it
-        if not cols[0] or cols[0] != list(range(len(cols[0]))):
+        k = cols[0]
+        if not len(k) or not np.array_equal(k, np.arange(len(k))):
             raise ValueError("column 'k' is not 0, 1, ..., K")
-        init, *records = map(IterationRecord, *cols)
+        rows = np.empty(len(k), TRACE_DTYPE)
+        for (_, f, _), col in zip(TRACE_SCHEMA, cols):
+            rows[f] = col
         fields = {attr: meta[key] for key, attr, _, _ in _METADATA if attr}
         fields["lambda0"] = float(fields["lambda0"])  # JSON may hold it as an integer
-        return Trace(init=init, records=records, **fields)
+        return Trace(rows=rows, **fields)
     except OSError as exc:
         raise UsageError(f"cannot read trace {path}: {exc.strerror}") from None
     except KeyError as exc:
@@ -645,7 +639,7 @@ def run_experiment(config: ExperimentConfig):
                 write_trace(result.trace, "json", path)
                 rows.append(ComparisonRow(
                     solver=name, seed=seed,
-                    iterations=len(result.trace.records),
+                    iterations=result.trace.iterations,
                     grad_res=result.trace.min_gradmap(),
                     best_F=result.best_F, opt_gap=math.nan,
                     wall_seconds=wall, termination=result.termination))

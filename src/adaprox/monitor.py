@@ -176,9 +176,10 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     Only traces of the branch-rule engines are accepted; other engines carry
     no such guarantees. A known_L that is not positive and finite, an
     fstar that is not finite, a rho_total_value that is NaN or negative
-    (+inf is accepted: the bounds it enters are then vacuous), or a trace
+    (+inf is accepted: the bounds it enters are then vacuous), a trace
     whose lambda0 is not positive and finite or not the k=0 record's lambda
-    (run writes the two equal), is a UsageError.
+    (run writes the two equal), or a residual_sq whose length is not the
+    trace's K, is a UsageError.
 
     The replay runs under one np.errstate that ignores every floating-point
     error: an overflow, a NaN or a root of a negative shows in the report,
@@ -190,16 +191,19 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     known_L, fstar = monitor_constants(problem, known_L=known_L, fstar=fstar)
     if rho_total_value is not None and not rho_total_value >= 0.0:
         raise UsageError(f"rho_total_value must be nonnegative, got {rho_total_value}")
-    lam0 = trace.lambda0
-    if not 0.0 < lam0 < math.inf or lam0 != trace.init.lam:
-        raise UsageError(f"trace lambda0 must be positive, finite and the k=0 record's "
-                         f"lambda, got {lam0} and {trace.init.lam}")
-    have_consts = known_L is not None and rho_total_value is not None
-
-    K = len(trace.records)
-
     # Columns over k = 0..K, then their k-1 and k views over k = 1..K.
     lam, F, G = trace.column("lam"), trace.column("F_value"), trace.column("gradmap_norm")
+    lam0 = trace.lambda0
+    if not 0.0 < lam0 < math.inf or lam0 != lam[0]:
+        raise UsageError(f"trace lambda0 must be positive, finite and the k=0 record's "
+                         f"lambda, got {lam0} and {lam[0]}")
+    K = trace.iterations
+    sq = trace.residual_sq
+    if sq is not None and len(sq) != K:
+        raise UsageError(f"trace residual_sq must hold one entry per iteration, "
+                         f"got {len(sq)} for K = {K}")
+    have_consts = known_L is not None and rho_total_value is not None
+
     lam_p, lam_k, F_p, F_k, G_p, G_k = lam[:-1], lam[1:], F[:-1], F[1:], G[:-1], G[1:]
     ks = np.arange(1, K + 1)
     tol = 1e-9 * (1.0 + np.abs(F_p))
@@ -275,7 +279,6 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
 
     # (f) bound on the running weighted subgradient-residual sum; needs the
     # constants above and the residuals computed by run().
-    sq = trace.residual_sq
     if fstar is not None and have_consts and K >= 1 and sq is not None:
         try:
             report.S = (math.inf if math.isinf(hi) or om == 0.0 else

@@ -1,6 +1,7 @@
-"""Test-side helpers: the composite value F = f + h at a point, and the
-central-difference gradient the oracle tests check gradients against. The
-solver reaches neither; it evaluates F through its own counted oracle calls."""
+"""Test-side helpers: the composite value F = f + h at a point, the
+central-difference gradient the oracle tests check gradients against, and a
+trace built from hand-written records. The solver reaches none of them; it
+evaluates F through its own counted oracle calls."""
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from adaprox.core import (
     as_point,
     check_finite,
 )
+from adaprox.solver import TRACE_DTYPE, IterationRecord, Trace
 
 
 def composite_value(problem: CompositeProblem, x: Vector) -> float:
@@ -47,3 +49,12 @@ def finite_difference_gradient(oracle: SmoothOracle, x: Vector, h: float) -> Vec
             raise NumericalDomainError(f"non-finite probe value at coordinate {i}")
         g[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+def trace_of(records: list[IterationRecord], **fields) -> Trace:
+    """A Trace whose rows hold ``records``, k = 0 first; problem "t", engine
+    adapgnc and lambda0 record 0's lam, unless ``fields`` give them."""
+    fields = {"problem_name": "t", "engine": "adapgnc", "lambda0": records[0].lam, **fields}
+    rows = np.array([tuple(getattr(r, f) for f in TRACE_DTYPE.names) for r in records],
+                    TRACE_DTYPE)
+    return Trace(rows=rows, **fields)

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import trace_of
+
 from adaprox import RhoSequence, SolverConfig, UsageError, monitor_check, run
 from adaprox.adaptive import RHO_NAMES, rho_total
 from adaprox.cli import PROBLEM_FLAGS, cli_main
@@ -35,7 +37,7 @@ from adaprox.harness import (
     write_trace,
 )
 from adaprox.problems import FactorShape, nmf_problem, nmf_synthetic, quadratic_problem, rng
-from adaprox.solver import ENGINES, IterationRecord, Trace
+from adaprox.solver import ENGINES, IterationRecord
 
 TRACE_COLUMNS = [c for c, _, _ in TRACE_SCHEMA]
 
@@ -443,10 +445,9 @@ class TestTracePersistence:
         cols = {f: data.draw(st.lists(ints if dt == "<i8" else floats, min_size=n, max_size=n))
                 for _, f, dt in TRACE_SCHEMA}
         cols["k"] = list(range(n))  # the reader refuses any other k column
-        init, *records = [IterationRecord(**dict(zip(cols, row))) for row in zip(*cols.values())]
-        trace = Trace(problem_name="p", engine="adapgnc", lambda0=data.draw(floats.filter(
-            math.isfinite)), init=init, records=records, termination="max_iters",
-            seed=data.draw(ints | st.none()))
+        records = [IterationRecord(**dict(zip(cols, row))) for row in zip(*cols.values())]
+        trace = trace_of(records, problem_name="p", lambda0=data.draw(floats.filter(
+            math.isfinite)), termination="max_iters", seed=data.draw(ints | st.none()))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.json")
             write_trace(trace, "json", path)
@@ -878,7 +879,7 @@ class TestCli:
             assert "growth_cap: FAIL [25 checks, worst slack nan]" in capsys.readouterr().out
         init = IterationRecord(0, 1.0, 1.0, 1.0, 1e155, math.nan, math.nan, math.nan, 0.0, 1, 1, 1)
         rec = IterationRecord(1, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.1, 0.0, 2, 2, 2)
-        trace = Trace("t", "adapgnc", 1e155, init, [rec], residual_sq=np.array([1.0]))
+        trace = trace_of([init, rec], residual_sq=np.array([1.0]))
         rep = monitor_check(trace, None, 0.2, fstar=0.0, known_L=1e-160)
         assert rep.S == math.inf and rep.check("sum_bound").passed
 

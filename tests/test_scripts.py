@@ -75,3 +75,13 @@ def test_bench_verdict_needs_nine_wins_and_a_gap_past_the_spread():
     eight = bench.compare(base, [0.5] * 8 + [5.0] * 2, "lower")
     assert (eight["change_wins"], eight["base_wins"]) == (8, 2) and not eight["claim"]
     assert bench.compare(base, [5.0] * 10, "higher")["claim"]
+
+
+def test_corpus_is_unchanged():
+    """Every run of the equivalence corpus gives the hashes committed in
+    tests/data/corpus.json; a moved entry is named."""
+    spec = importlib.util.spec_from_file_location("corpus", ROOT / "scripts" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    expected = json.loads(corpus.CORPUS.read_text())
+    assert corpus.moved(expected, corpus.corpus()) == []

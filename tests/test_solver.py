@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import replay_iterates
+from helpers import trace_of
 
 from adaprox import (
     CompositeProblem,
@@ -33,7 +35,8 @@ from adaprox.problems import (
     quadratic_problem,
     rng,
 )
-from adaprox.solver import ENGINES, MONITORED_ENGINES, IterationRecord, Trace
+from adaprox.harness import read_trace, write_trace
+from adaprox.solver import _ROW, ENGINES, MONITORED_ENGINES, TRACE_DTYPE, IterationRecord
 
 
 def half_sq():
@@ -458,7 +461,7 @@ class TestMonitorIntegration:
         p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
         cfg = SolverConfig(engine="adapgnc", max_iters=30)
         res = run(p, np.ones(3), cfg)
-        res.trace.records[2].l_k = 2.0
+        res.trace.rows["l_k"][3] = 2.0  # record k = 3
         rep = monitor_check(res.trace, p, rho_total(RhoSequence.rho2()))
         assert not rep.check("step_condition").passed
         assert rep.check("step_condition").first_failure[0] == 3
@@ -476,7 +479,7 @@ class TestMonitorIntegration:
         res = run(p, x0, cfg)
         assert res.trace.init.F_value == math.inf
         assert res.report.check("step_condition").passed
-        res.trace.records[0].L_k *= 100.0
+        res.trace.rows["L_k"][1] *= 100.0
         rep = monitor_check(res.trace, p, rho_total(cfg.rho))
         assert not rep.check("step_condition").passed
         assert rep.check("step_condition").first_failure[0] == 1
@@ -511,7 +514,7 @@ class TestMonitorIntegration:
         recs = [IterationRecord(k, 0.0, 0.0, 0.0, lam, 0.0, 0.0, rho, 0.0, 0, 0, 0)
                 for k, (lam, rho) in enumerate(steps, 1)]
         init = IterationRecord(0, 0.0, 0.0, 0.0, lam0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
-        trace = Trace("t", "adapgnc", lam0, init, recs)
+        trace = trace_of([init] + recs)
         lam = np.array([lam0] + [s[0] for s in steps])
         rho = np.array([0.0] + [s[1] for s in steps])
         with np.errstate(all="ignore"):
@@ -579,7 +582,7 @@ class TestMonitorIntegration:
         init = IterationRecord(0, 0.0, 0.0, 0.0, lams[0], 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
         recs = [IterationRecord(k, 0.0, 0.0, 0.0, lam, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
                 for k, lam in enumerate(lams[1:], 1)]
-        rep = monitor_check(Trace("t", "adapgnc", lams[0], init, recs), None, P, known_L=1.0)
+        rep = monitor_check(trace_of([init] + recs), None, P, known_L=1.0)
         c = rep.check("step_bounds")
         n, worst, ref_first = self.scalar_step_bounds(lams, rep.lam_lower, rep.lam_upper, 1.0)
         assert c.n_checked == n == 2 * len(lams)
@@ -616,7 +619,7 @@ class TestMonitorIntegration:
         p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
         res = run(p, np.ones(3), SolverConfig(engine="adapgnc", max_iters=30))
         assert monitor_check(res.trace, p, rho_total(RhoSequence.rho2())).passed
-        setattr(res.trace.records[4], field, math.nan)
+        res.trace.rows[field][5] = math.nan
         rep = monitor_check(res.trace, p, rho_total(RhoSequence.rho2()))
         assert not rep.passed
 
@@ -633,8 +636,8 @@ class TestMonitorIntegration:
         res = run(p, np.ones(3), cfg)
         assert res.report.passed
         xs, gs = replay_iterates(p, np.ones(3), res)
-        rec = res.trace.records[4]
-        setattr(rec, field, change(getattr(rec, field)))
+        col = res.trace.rows[field]
+        col[5] = change(col[5])
         # the streamed residuals depend on lam_{k-1}: recompute them for the
         # corrupted trace, so a bad lam_5 reaches sum_bound at k=6
         lams = [r.lam for r in res.trace.all_records()]
@@ -664,7 +667,7 @@ class TestMonitorIntegration:
         is inf, which the running sum meets."""
         init = IterationRecord(0, 1.0, 1.0, 1.0, 1e155, math.nan, math.nan, math.nan, 0.0, 1, 1, 1)
         rec = IterationRecord(1, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.1, 0.0, 2, 2, 2)
-        trace = Trace("t", "adapgnc", 1e155, init, [rec], residual_sq=np.array([1.0]))
+        trace = trace_of([init, rec], residual_sq=np.array([1.0]))
         rep = monitor_check(trace, None, 0.2, fstar=0.0, known_L=1e-160)
         assert rep.omega_lower == math.exp(-0.3) and rep.S == math.inf
         assert rep.check("sum_bound").passed
@@ -679,6 +682,17 @@ class TestMonitorIntegration:
         for args in ((), (p, rho_total(RhoSequence.rho2()))):
             with pytest.raises(UsageError, match="lambda0"):
                 monitor_check(res.trace, *args)
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["K+1", "K-1"])
+    def test_residuals_not_one_per_iteration_refused(self, extra):
+        """A residual_sq with one entry too many or too few is a UsageError
+        naming the field, not NumPy's broadcast error."""
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+        res = run(p, np.ones(3), SolverConfig(engine="adapgnc", max_iters=10, monitor=True))
+        assert res.trace.iterations == len(res.trace.residual_sq) == 10
+        res.trace.residual_sq = np.zeros(10 + extra)
+        with pytest.raises(UsageError, match=f"residual_sq .* got {10 + extra} for K = 10"):
+            monitor_check(res.trace, p, rho_total(RhoSequence.rho2()))
 
     @pytest.mark.parametrize("P", [-10.0, math.nan, -math.inf])
     def test_bad_rho_total_refused(self, P):
@@ -702,7 +716,7 @@ class TestMonitorIntegration:
                 for k, rho in [(1, -5.0), (2, 0.0), (3, 0.0)]]
         init = IterationRecord(0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
         with np.errstate(invalid="ignore"):
-            trace = Trace("t", "adapgnc", 1.0, init, recs)
+            trace = trace_of([init] + recs)
             omega = lyapunov_weights(trace.column("lam"), trace.column("rho_used"))
         assert omega[:2].tolist() == [1.0, -0.25]
         assert np.isnan(omega[2:]).all()
@@ -779,6 +793,54 @@ def test_only_last_record_carries_vectors():
         *rest, last = res.trace.all_records()
         assert all(r.x is None and r.grad is None for r in rest)
         assert last.x is not None and last.grad is not None
+
+
+def test_records_are_a_view_of_the_rows():
+    """Records are frozen and built from the rows on access. Assigning one
+    writes its row, which the monitor reads; a replaced trace has rows of its
+    own, so the original is unchanged."""
+    p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+    trace = run(p, np.ones(3), SolverConfig(max_iters=10)).trace
+    P = rho_total(RhoSequence.rho2())
+    rec = trace.records[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.l_k = 2.0
+    assert trace.records == trace.all_records()[1:] and trace.records[-1].x is not None
+    altered = replace(trace, records=list(trace.records))
+    altered.records[2] = replace(rec, l_k=2.0)
+    assert altered.column("l_k")[3] == altered.all_records()[3].l_k == 2.0
+    assert trace.records[2] == rec and monitor_check(trace, p, P).passed
+    assert monitor_check(altered, p, P).check("step_condition").first_failure[0] == 3
+
+
+def test_row_packer_has_the_dtype_layout():
+    """A row packed by the loop reads back through TRACE_DTYPE field for field."""
+    values = (3, -1.5, 2.5, 0.25, 1e-300, math.inf, -0.0, 1e10, 0.125, 7, -2**63, 2**63 - 1)
+    assert _ROW.size == TRACE_DTYPE.itemsize == 96
+    assert np.frombuffer(_ROW.pack(*values), TRACE_DTYPE)[0].item() == values
+
+
+def test_trace_keeps_at_most_128_bytes_per_record(tmp_path):
+    """A monitored run keeps at most 128 B per record in its trace, and a
+    write, read and replay of that trace peaks below three times as much."""
+    n, K = 100, 4000
+    problem = quadratic_problem(np.geomspace(1e-4, 1.0, n), seed=3)
+    path = str(tmp_path / "t.json")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trace = run(problem, np.ones(n), SolverConfig(max_iters=K, monitor=True)).trace
+        kept = tracemalloc.get_traced_memory()[0] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_trace(trace, "json", path)
+        report = monitor_check(read_trace(path), problem, rho_total(RhoSequence.rho2()))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations == K and report.passed
+    assert kept <= 128 * K, kept / K
+    assert peak < 3 * 128 * K, peak / K
 
 
 @pytest.mark.parametrize("termination, max_iters, tol, nan", [
