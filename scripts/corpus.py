@@ -9,7 +9,7 @@ indefinite), lasso, NMF, matrix completion and small dense and sparse
 logistic problems, and each rho kind with two lambda0 on the rho engines;
 at most 300 iterations each, with the monitor on where it covers the engine.
 An entry holds the termination, the iteration count, the SHA-256 of each
-trace column's bytes but elapsed_s, of residual_sq's bytes and of each
+trace column's bytes but elapsed_seconds, residual_sq among them, and of each
 CheckResult's repr, and the names of the skipped checks; a run that stops
 with one of the library's errors holds that error instead. The hashes are
 tied to this host's NumPy and BLAS: a library upgrade that moves bits shows
@@ -41,9 +41,9 @@ from adaprox import (  # noqa: E402
     UsageError,
     run,
 )
-from adaprox.harness import TRACE_SCHEMA, build_problem  # noqa: E402
+from adaprox.harness import build_problem  # noqa: E402
 from adaprox.problems import SparseDesign, logistic_gamma, logistic_problem, rng  # noqa: E402
-from adaprox.solver import ENGINES  # noqa: E402
+from adaprox.solver import ENGINES, TRACE_DTYPE  # noqa: E402
 
 CORPUS = ROOT / "tests" / "data" / "corpus.json"
 
@@ -110,13 +110,11 @@ def entry(prob: str, config: SolverConfig) -> dict:
     except (UsageError, NumericalDomainError, NonconvexDetected, LineSearchFailed) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     trace, report = res.trace, res.report
-    sq = trace.residual_sq
     return {
         "termination": trace.termination,
         "iterations": trace.iterations,
-        "columns": {c: _sha(trace.column(f).tobytes())
-                    for c, f, _ in TRACE_SCHEMA if c != "elapsed_s"},
-        "residual_sq": None if sq is None else _sha(sq.tobytes()),
+        "columns": {c: _sha(trace.column(c).tobytes())
+                    for c in TRACE_DTYPE.names if c != "elapsed_seconds"},
         "checks": None if report is None else {c.name: _sha(repr(c).encode())
                                                for c in report.checks},
         "skipped": None if report is None else report.skipped,

@@ -36,7 +36,6 @@ from .solver import (
     ENGINES,
     TERMINATIONS,
     TRACE_DTYPE,
-    TRACE_SCHEMA,
     SolverConfig,
     Trace,
     run,
@@ -298,11 +297,11 @@ def write_libsvm(design: SparseDesign, stream) -> None:
 # Trace persistence
 
 #: The layout of a trace file, written as its metadata "version".
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
-#: The metadata "dtypes" map: each TRACE_SCHEMA column's NumPy dtype string.
+#: The metadata "dtypes" map: each TRACE_DTYPE field's NumPy dtype string.
 #: Each column is stored as the base64 of its values' bytes in that dtype.
-TRACE_DTYPES = {c: dt for c, _, dt in TRACE_SCHEMA}
+TRACE_DTYPES = {c: TRACE_DTYPE[c].str for c in TRACE_DTYPE.names}
 
 
 def _json_float(v: float):
@@ -316,8 +315,8 @@ def _json_float(v: float):
 def write_trace(trace: Trace, fmt: str, path: str) -> None:
     """Persist a trace as one strict JSON object: the run metadata, with the
     layout version and the columns' dtypes, and one base64 string per
-    TRACE_SCHEMA column, holding its values' raw bytes, k = 0 first. ``fmt``
-    must be "json".
+    TRACE_DTYPE field, under the field's name, holding its values' raw
+    bytes, k = 0 first. ``fmt`` must be "json".
 
     Each column is copied out of the trace's rows and encoded on its own,
     which bounds the writer's memory at one column's encoding."""
@@ -331,9 +330,9 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(head)
         sep = b"\n"
-        for c, f, _ in TRACE_SCHEMA:
+        for c in TRACE_DTYPE.names:
             fh.write(sep + f'"{c}": "'.encode())
-            fh.write(base64.b64encode(trace.rows[f].tobytes()))
+            fh.write(base64.b64encode(trace.rows[c].tobytes()))
             fh.write(b'"')
             sep = b",\n"
         fh.write(b"\n}}\n")
@@ -373,9 +372,9 @@ def _read_column(name: str, text, dtype: str) -> np.ndarray:
 def read_trace(path: str) -> Trace:
     """Load a JSON trace. A file that is not such a trace, with every metadata
     key present and of its type, the current version and dtypes among them,
-    every column a base64 string of whole values, all of one length, and the
-    k column 0, 1, ..., K, is a UsageError naming it; so is a file that cannot
-    be read.
+    every column a base64 string of whole values, all of one length, holding
+    at least record 0, and no other key or column, is a UsageError naming it;
+    so is a file that cannot be read.
 
     Each column's string is dropped as it is decoded, so the file's text and
     the decoded values are not all held at once; the columns are then copied
@@ -387,18 +386,18 @@ def read_trace(path: str) -> Trace:
         for key, _, ok, what in _METADATA:
             if not ok(meta[key]):
                 raise ValueError(f"metadata {key!r} holds {meta[key]!r}, not {what}")
+        _reject_unknown("metadata", meta, [key for key, _, _, _ in _METADATA])
         columns = payload["columns"]
-        cols = [_read_column(c, columns.pop(c), dt) for c, _, dt in TRACE_SCHEMA]
+        cols = [_read_column(c, columns.pop(c), dt) for c, dt in TRACE_DTYPES.items()]
+        _reject_unknown("columns", columns, ())
         if len(set(map(len, cols))) > 1:
             raise ValueError("columns of unequal length: " + ", ".join(
-                f"{c} {len(v)}" for (c, _, _), v in zip(TRACE_SCHEMA, cols)))
-        # the monitor numbers observations by position, so k must be it
-        k = cols[0]
-        if not len(k) or not np.array_equal(k, np.arange(len(k))):
-            raise ValueError("column 'k' is not 0, 1, ..., K")
-        rows = np.empty(len(k), TRACE_DTYPE)
-        for (_, f, _), col in zip(TRACE_SCHEMA, cols):
-            rows[f] = col
+                f"{c} {len(v)}" for c, v in zip(TRACE_DTYPES, cols)))
+        if not len(cols[0]):
+            raise ValueError("columns hold no record k = 0")
+        rows = np.empty(len(cols[0]), TRACE_DTYPE)
+        for c, col in zip(TRACE_DTYPES, cols):
+            rows[c] = col
         fields = {attr: meta[key] for key, attr, _, _ in _METADATA if attr}
         fields["lambda0"] = float(fields["lambda0"])  # JSON may hold it as an integer
         return Trace(rows=rows, **fields)

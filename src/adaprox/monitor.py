@@ -16,9 +16,12 @@ Checks are reported under these names, in this order:
 Checks whose inputs are unavailable (no certified L, no reference optimum,
 no residuals) are reported as skipped, never silently passed, and an
 observation whose margin is NaN fails its check. sum_bound's residuals are
-Trace.residual_sq: one scalar per kept step, which only a monitored run
-computes, in the expanded form ||dg||^2 - 2<dg, dx>/lam_{k-1} + ||dx||^2/lam_{k-1}^2
-(see solver.run); a trace file holds none.
+the trace's residual_sq column: one scalar per kept step, which only a
+monitored run computes, in the expanded form
+||dg||^2 - 2<dg, dx>/lam_{k-1} + ||dx||^2/lam_{k-1}^2 (see solver.run), and
+which a trace file holds like any other column. Its row 0 is 0.0 when the
+residuals were computed and NaN when not, so a NaN residual at k >= 1 fails
+sum_bound while a trace without residuals skips it.
 """
 
 from __future__ import annotations
@@ -176,10 +179,9 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
     Only traces of the branch-rule engines are accepted; other engines carry
     no such guarantees. A known_L that is not positive and finite, an
     fstar that is not finite, a rho_total_value that is NaN or negative
-    (+inf is accepted: the bounds it enters are then vacuous), a trace
+    (+inf is accepted: the bounds it enters are then vacuous), or a trace
     whose lambda0 is not positive and finite or not the k=0 record's lambda
-    (run writes the two equal), or a residual_sq whose length is not the
-    trace's K, is a UsageError.
+    (run writes the two equal), is a UsageError.
 
     The replay runs under one np.errstate that ignores every floating-point
     error: an overflow, a NaN or a root of a negative shows in the report,
@@ -198,10 +200,6 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
         raise UsageError(f"trace lambda0 must be positive, finite and the k=0 record's "
                          f"lambda, got {lam0} and {lam[0]}")
     K = trace.iterations
-    sq = trace.residual_sq
-    if sq is not None and len(sq) != K:
-        raise UsageError(f"trace residual_sq must hold one entry per iteration, "
-                         f"got {len(sq)} for K = {K}")
     have_consts = known_L is not None and rho_total_value is not None
 
     lam_p, lam_k, F_p, F_k, G_p, G_k = lam[:-1], lam[1:], F[:-1], F[1:], G[:-1], G[1:]
@@ -278,15 +276,16 @@ def monitor_check(trace: Trace, problem: Optional[CompositeProblem] = None,
                                "complexity_bound_realized"])
 
     # (f) bound on the running weighted subgradient-residual sum; needs the
-    # constants above and the residuals computed by run().
-    if fstar is not None and have_consts and K >= 1 and sq is not None:
+    # constants above and the residuals computed by run(), which mark row 0.
+    sq = trace.column("residual_sq")
+    if fstar is not None and have_consts and K >= 1 and not math.isnan(sq[0]):
         try:
             report.S = (math.inf if math.isinf(hi) or om == 0.0 else
                         (hi ** 2 / lo) * (2.0 * hi ** 2 / (om * lo ** 2) * V0
                                           + 2.0 * (F[0] - fstar)))
         except ArithmeticError:  # hi^2 overflows or lo^2 underflows: S is past float64
             report.S = math.inf
-        report.checks.append(_check("sum_bound", ks, np.cumsum(lam_k ** 2 * sq),
+        report.checks.append(_check("sum_bound", ks, np.cumsum(lam_k ** 2 * sq[1:]),
                                     report.S, tol))
     else:
         report.skipped.append("sum_bound")

@@ -8,6 +8,7 @@ pairs (U, V) are flattened row-major as [vec(U); vec(V)].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -19,10 +20,12 @@ from .prox import L1, NonnegIndicator, Zero
 
 
 def check_seed(seed: int) -> int:
-    """The seed; a negative seed is a UsageError."""
+    """The seed as an int; a non-integer or negative seed is a UsageError."""
+    if not isinstance(seed, numbers.Integral):
+        raise UsageError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
-    return seed
+    return int(seed)
 
 
 def rng(seed: int) -> np.random.Generator:

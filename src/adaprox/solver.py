@@ -6,7 +6,6 @@ import itertools
 import math
 import struct
 import time
-from array import array
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
@@ -33,6 +32,7 @@ from .core import (
     Vector,
     as_point,
 )
+from .problems import check_seed
 from .prox import Zero
 
 
@@ -104,7 +104,8 @@ class SolverConfig:
 
 @dataclass(frozen=True, slots=True)
 class IterationRecord:
-    """One row of a trace as an object, built from the row on access."""
+    """One row of a trace as an object, built from the row on access; k is
+    the row's position."""
 
     k: int
     f_value: float
@@ -118,41 +119,39 @@ class IterationRecord:
     n_value: int
     n_gradient: int
     n_prox: int
+    residual_sq: float = math.nan
     # set on the last kept record only; kept because the benchmark's checks read them
     x: Optional[Vector] = None
     grad: Optional[Vector] = None
 
 
-#: The trace columns: (persisted column, IterationRecord field, dtype), in the
-#: record's field order. A trace row holds the fields in this order in these
-#: little-endian dtypes: int64 for k and the counters, float64 otherwise.
-TRACE_SCHEMA = (
-    ("k", "k", "<i8"),
-    ("f", "f_value", "<f8"),
-    ("F", "F_value", "<f8"),
-    ("gradmap_norm", "gradmap_norm", "<f8"),
-    ("lambda", "lam", "<f8"),
-    ("L_k", "L_k", "<f8"),
-    ("l_k", "l_k", "<f8"),
-    ("rho", "rho_used", "<f8"),
-    ("elapsed_s", "elapsed_seconds", "<f8"),
-    ("n_value", "n_value", "<i8"),
-    ("n_grad", "n_gradient", "<i8"),
-    ("n_prox", "n_prox", "<i8"),
-)
-
-#: One trace row: 96 bytes, a field per TRACE_SCHEMA entry.
-TRACE_DTYPE = np.dtype([(f, dt) for _, f, dt in TRACE_SCHEMA])
+#: The trace columns: one 96-byte row per record, a field per IterationRecord
+#: field but k (the row's position), x and grad, in the record's order. Each
+#: field's name is also its column's key in a trace file.
+TRACE_DTYPE = np.dtype([
+    ("f_value", "<f8"), ("F_value", "<f8"), ("gradmap_norm", "<f8"), ("lam", "<f8"),
+    ("L_k", "<f8"), ("l_k", "<f8"), ("rho_used", "<f8"), ("elapsed_seconds", "<f8"),
+    ("n_value", "<i8"), ("n_gradient", "<i8"), ("n_prox", "<i8"), ("residual_sq", "<f8"),
+])
 
 #: The packer of one row, in TRACE_DTYPE's layout.
-_ROW = struct.Struct("<" + "".join({"<i8": "q", "<f8": "d"}[dt] for _, _, dt in TRACE_SCHEMA))
+_ROW = struct.Struct("<" + "".join("q" if TRACE_DTYPE[f].kind == "i" else "d"
+                                   for f in TRACE_DTYPE.names))
 
 _ROW_FIELDS = attrgetter(*TRACE_DTYPE.names)
 
 
+def _row_of(k: int, rec: IterationRecord) -> tuple:
+    """The row of ``rec`` at position k; a record whose k is not k is a UsageError."""
+    if rec.k != k:
+        raise UsageError(f"record k={rec.k} cannot be the trace's record {k}")
+    return _ROW_FIELDS(rec)
+
+
 class TraceRecords(Sequence):
     """A trace's records k = 1..K, each built from its row on access.
-    Assigning a record writes its scalar fields into that row."""
+    Assigning a record writes its scalar fields into that row; a record
+    whose k is not its position is a UsageError."""
 
     __slots__ = ("_trace",)
 
@@ -167,15 +166,8 @@ class TraceRecords(Sequence):
         return list(map(self._trace._record, k)) if isinstance(i, slice) else self._trace._record(k)
 
     def __setitem__(self, i: int, rec: IterationRecord) -> None:
-        self._trace.rows[range(1, len(self._trace.rows))[i]] = _ROW_FIELDS(rec)
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, TraceRecords)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __radd__(self, other: list) -> list:
-        return other + list(self)
+        k = range(1, len(self._trace.rows))[i]
+        self._trace.rows[k] = _row_of(k, rec)
 
 
 @dataclass(eq=False)
@@ -187,12 +179,14 @@ class Trace:
     ``init``, ``records`` and ``all_records()`` are views built on access:
     IterationRecords made from the rows, the last one carrying ``last_x``
     and ``last_grad``, the iterate and gradient of the last kept record. A
-    list of records given as ``records`` replaces rows 1..K in a copy of
-    ``rows``; so ``dataclasses.replace`` gives a trace with rows of its own.
+    list of records given as ``records``, the kth of them record k, replaces
+    rows 1..K in a copy of ``rows``; so ``dataclasses.replace`` gives a
+    trace with rows of its own.
 
-    ``residual_sq[k-1]`` is sum_bound's squared residual at record k, one
-    float64 per kept step, computed by ``run`` when the monitor checks
-    sum_bound (``None`` otherwise); it is not persisted."""
+    The ``residual_sq`` column holds sum_bound's squared residual at each
+    record k >= 1. Its row 0 says whether ``run`` computed the residuals:
+    0.0, the empty sum, if it did and NaN if not, in which case the other
+    rows are NaN too."""
 
     problem_name: str
     engine: str
@@ -200,14 +194,13 @@ class Trace:
     rows: np.ndarray = field(repr=False)
     termination: str = ""
     seed: Optional[int] = None
-    residual_sq: Optional[np.ndarray] = field(default=None, repr=False)
     last_x: Optional[Vector] = field(default=None, repr=False)
     last_grad: Optional[Vector] = field(default=None, repr=False)
     records: InitVar[Optional[Sequence[IterationRecord]]] = None
 
     def __post_init__(self, records):
         if records is not None:
-            given = np.array(list(map(_ROW_FIELDS, records)), TRACE_DTYPE)
+            given = np.array(list(map(_row_of, itertools.count(1), records)), TRACE_DTYPE)
             self.rows = np.concatenate((self.rows[:1], given))
 
     @property
@@ -218,8 +211,8 @@ class Trace:
     def _record(self, k: int) -> IterationRecord:
         """Record k, built from its row; the last also carries x and grad."""
         if k == self.iterations:
-            return IterationRecord(*self.rows[k].item(), self.last_x, self.last_grad)
-        return IterationRecord(*self.rows[k].item())
+            return IterationRecord(k, *self.rows[k].item(), self.last_x, self.last_grad)
+        return IterationRecord(k, *self.rows[k].item())
 
     @property
     def init(self) -> IterationRecord:
@@ -257,19 +250,19 @@ class RunResult:
 _NO_CURVATURE = CurvaturePair(math.nan, math.nan)
 
 
-def _prox_step_row(problem: CompositeProblem, k: int, x: Vector, f: float,
-                   grad: Vector, lam: float, curv: CurvaturePair,
-                   rho_used: float, elapsed: float):
-    """x_next = prox_{lam h}(x - lam grad) and the row of iterate k, with
-    G_k = (x - x_next)/lam. Returns (x_next, dx, ||dx||, F_k, G_k, row) where
+def _prox_step_row(problem: CompositeProblem, x: Vector, f: float, grad: Vector,
+                   lam: float, curv: CurvaturePair, rho_used: float, elapsed: float,
+                   residual_sq: float):
+    """x_next = prox_{lam h}(x - lam grad) and the row of iterate x, with
+    G = (x - x_next)/lam. Returns (x_next, dx, ||dx||, F, G, row) where
     dx = x_next - x and row is the packed TRACE_DTYPE row."""
     x_next = problem.prox_step(x - lam * grad, lam)
     dx = x_next - x
     nd = math.sqrt(dx.dot(dx))  # np.linalg.norm's own formula, without its overhead
     F, G = f + problem.h_value(x), nd / lam
     c = problem.counters
-    row = _ROW.pack(k, f, F, G, lam, curv.L_k, curv.l_k, rho_used, elapsed,
-                    c.n_value, c.n_gradient, c.n_prox)
+    row = _ROW.pack(f, F, G, lam, curv.L_k, curv.l_k, rho_used, elapsed,
+                    c.n_value, c.n_gradient, c.n_prox, residual_sq)
     return x_next, dx, nd, F, G, row
 
 
@@ -286,23 +279,26 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
     the problem's known_L and known_fstar both set, each kept step also gives
     sum_bound's squared residual ||grad f(x_k) + h'_k||^2 = ||dg - dx/lam_{k-1}||^2
     in expanded form: ||dg||^2 = (L_k ||dx||)^2 from the curvature pair and one
-    dot <dg, dx>, so no vector is held for the monitor. With the monitor
-    on, a known_L or known_fstar that the monitor refuses is a UsageError
-    before any oracle call, and so is a ``smooth_only`` engine with an h that
-    is not Zero: gd-ls's Armijo test on f alone says nothing of F = f + h."""
+    dot <dg, dx>, so no vector is held for the monitor. It goes in the row's
+    residual_sq, whose row 0 is then 0.0 (NaN in every row otherwise).
+    A negative or non-integer seed is a UsageError before any oracle call,
+    and the trace holds it as a Python int. With the monitor on, a known_L
+    or known_fstar that the monitor refuses is a UsageError before any oracle
+    call, and so is a ``smooth_only`` engine with an h that is not Zero:
+    gd-ls's Armijo test on f alone says nothing of F = f + h."""
     config.validate()
     engine = ENGINES[config.engine]
     if engine.smooth_only and not isinstance(problem.nonsmooth, Zero):
         raise UsageError(f"{config.engine} steps on f alone and needs h = 0, "
                          f"got {type(problem.nonsmooth).__name__}")
-    residual_sq = None  # with sum_bound checked: one float64 per kept step
+    seed = None if seed is None else check_seed(seed)
+    residuals = False  # whether the monitor checks sum_bound
     if config.monitor:
         from .monitor import monitor_constants
 
         # refuse a bad known_L or known_fstar before any oracle call
         known_L, fstar = monitor_constants(problem)
-        if known_L is not None and fstar is not None:
-            residual_sq = array("d")
+        residuals = known_L is not None and fstar is not None
     problem.counters.reset()
     t0 = time.perf_counter()
 
@@ -313,8 +309,10 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
         raise NumericalDomainError("non-finite f or grad f at x0")
     # lam, lam_prev: lambda_{k-1}, lambda_{k-2}; lambda_{-1} = lambda_0 convention
     lam = lam_prev = config.lambda0
-    x_next, dx_next, nd, F, G, row = _prox_step_row(problem, 0, x, f, grad, lam,
-                                                    _NO_CURVATURE, math.nan, 0.0)
+    x_next, dx_next, nd, F, G, row = _prox_step_row(
+        problem, x, f, grad, lam, _NO_CURVATURE, math.nan, 0.0,
+        0.0 if residuals else math.nan)  # row 0: the empty sum, or NaN
+    r_sq = math.nan  # every later row's residual_sq when none is computed
     rows = bytearray(row)  # the kept records' rows, packed end to end
     best_F, best_x = F, x  # no iterate is changed in place; copied once below
     x_rec, grad_rec = x, grad  # the x and grad of the last kept record
@@ -353,29 +351,26 @@ def run(problem: CompositeProblem, x0: Vector, config: SolverConfig,
             rho_used = rho_value(config.rho, k - 1, lambda_ratio=lam / lam_prev)
         lam_prev, lam = lam, engine.step(lam, lam_prev, rho_used, curv, dx, dg,
                                          problem, x, f, grad)
-        if residual_sq is not None:  # every monitored engine estimates curvature
+        if residuals:  # every monitored engine estimates curvature
             t = nd / lam_prev
             r_sq = (curv.L_k * nd) ** 2 - 2.0 * float(dg.dot(dx)) / lam_prev + t * t
+            r_sq = max(r_sq, 0.0)  # a rounded-below-0 square is 0
 
-        x_next, dx_next, nd, F, G, row = _prox_step_row(problem, k, x, f, grad, lam, curv,
-                                                        rho_used, elapsed)
+        x_next, dx_next, nd, F, G, row = _prox_step_row(problem, x, f, grad, lam, curv,
+                                                        rho_used, elapsed, r_sq)
         if not (math.isfinite(f) and math.isfinite(G)):
             termination = "non_finite"
             break
         rows += row
         x_rec, grad_rec = x, grad
-        if residual_sq is not None:
-            residual_sq.append(max(r_sq, 0.0))  # a rounded-below-0 square is 0
         if F < best_F:
             best_F, best_x = F, x
 
-    # exact-size copies: the buffers' growth slack would stay with the trace
+    # an exact-size copy: the buffer's growth slack would stay with the trace
     trace = Trace(problem_name=problem.name, engine=config.engine, lambda0=config.lambda0,
                   rows=np.frombuffer(rows, TRACE_DTYPE).copy(), termination=termination,
-                  seed=seed, last_x=x_rec.copy(), last_grad=grad_rec.copy(),
-                  residual_sq=None if residual_sq is None
-                  else np.array(residual_sq, dtype=np.float64))
-    del rows, residual_sq  # not held through the monitor's replay
+                  seed=seed, last_x=x_rec.copy(), last_grad=grad_rec.copy())
+    del rows  # not held through the monitor's replay
     result = RunResult(trace=trace, best=best_x.copy(), best_F=best_F, x_final=x)
     if config.monitor:
         from .adaptive import rho_total

@@ -21,7 +21,6 @@ from adaprox.cli import PROBLEM_FLAGS, cli_main
 from adaprox.harness import (
     PROBLEM_KEYS,
     SOLVER_KEYS,
-    TRACE_SCHEMA,
     ExperimentConfig,
     ParseError,
     build_problem,
@@ -37,9 +36,9 @@ from adaprox.harness import (
     write_trace,
 )
 from adaprox.problems import FactorShape, nmf_problem, nmf_synthetic, quadratic_problem, rng
-from adaprox.solver import ENGINES, IterationRecord
+from adaprox.solver import ENGINES, TRACE_DTYPE, IterationRecord
 
-TRACE_COLUMNS = [c for c, _, _ in TRACE_SCHEMA]
+TRACE_COLUMNS = TRACE_DTYPE.names
 
 #: Floats at the edges of float64: signed zeros, subnormals, the extremes,
 #: the infinities and NaN.
@@ -63,8 +62,8 @@ def from_bits(bits: int) -> float:
 
 
 def without_elapsed(blob: bytes) -> bytes:
-    """A trace file's bytes with the elapsed_s column's string cut out."""
-    key = b'"elapsed_s": "'
+    """A trace file's bytes with the elapsed_seconds column's string cut out."""
+    key = b'"elapsed_seconds": "'
     start = blob.index(key, blob.index(b'"columns"')) + len(key)
     return blob[:start] + blob[blob.index(b'"', start):]
 
@@ -189,28 +188,31 @@ def with_layout_fault(payload, case):
     """The trace payload with the layout fault named by ``case``."""
     meta, cols = payload["metadata"], payload["columns"]
     if case == "unequal_length":
-        cols["F"] = encode_column(decode_column(payload, "F")[:-1])
+        cols["F_value"] = encode_column(decode_column(payload, "F_value")[:-1])
+    elif case == "no_records":
+        for c in cols:
+            cols[c] = ""
     elif case == "column_not_string":  # the version-2 layout of a column
-        cols["lambda"] = decode_column(payload, "lambda").tolist()
+        cols["lam"] = decode_column(payload, "lam").tolist()
     elif case == "non_base64":
-        cols["lambda"] = "!" + cols["lambda"][1:]
+        cols["lam"] = "!" + cols["lam"][1:]
     elif case == "partial_value":
-        cols["F"] = base64.b64encode(base64.b64decode(cols["F"])[:-4]).decode("ascii")
+        cols["F_value"] = base64.b64encode(base64.b64decode(cols["F_value"])[:-4]).decode("ascii")
+    elif case == "unknown_column":
+        cols["foo"] = cols["lam"]
+    elif case == "unknown_metadata_key":
+        meta["bar"] = 1
     elif case == "no_dtypes":
         del meta["dtypes"]
     elif case == "big_endian_dtypes":
-        meta["dtypes"] = dict(meta["dtypes"], f=">f8")
+        meta["dtypes"] = dict(meta["dtypes"], f_value=">f8")
     elif case == "no_version":
         del meta["version"]
     elif case.startswith("version="):
         meta["version"] = json.loads(case[len("version="):])
-    elif case == "k_not_consecutive":
-        k = decode_column(payload, "k").copy()
-        k[3:5] = 99, -7
-        cols["k"] = encode_column(k)
     elif case == "row_major":
         return row_major(payload)
-    else:  # row-major records under version-3 metadata
+    else:  # row-major records under current metadata
         return dict(row_major(payload), metadata=meta)
     return payload
 
@@ -328,13 +330,13 @@ class TestTracePersistence:
         assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize("where, key, value", [
-        ("columns", "k", 1.7),
-        ("columns", "f", True),
-        ("columns", "lambda", "0.5"),
-        ("columns", "n_grad", None),
-        ("columns", "F", "Infinity"),
+        ("columns", "residual_sq", 1.7),
+        ("columns", "f_value", True),
+        ("columns", "lam", "0.5"),
+        ("columns", "n_gradient", None),
+        ("columns", "F_value", "Infinity"),
         ("columns", "n_prox", "inf"),
-        ("columns", "f", 10**400),
+        ("columns", "f_value", 10**400),
         ("metadata", "lambda0", "1.0"),
         ("metadata", "solver", "newton"),
         ("metadata", "solver", None),
@@ -343,7 +345,7 @@ class TestTracePersistence:
         ("metadata", "problem", 3),
         ("metadata", "seed", True),
         ("metadata", "seed", 1.0),
-    ], ids=["float_k", "bool_f", "string_lambda", "null_count", "Infinity_string_F",
+    ], ids=["float_residual_sq", "bool_f", "string_lambda", "null_count", "Infinity_string_F",
             "inf_string_count", "huge_int_f", "string_lambda0",
             "unknown_solver", "null_solver", "list_solver", "unknown_termination",
             "number_problem",
@@ -399,27 +401,31 @@ class TestTracePersistence:
 
     @pytest.mark.parametrize("case, message", [
         ("unequal_length", "columns of unequal length"),
-        ("column_not_string", "column 'lambda' is not a string"),
-        ("non_base64", "column 'lambda' is not base64"),
-        ("partial_value", r"column 'F' holds \d+ bytes, not a multiple of 8"),
+        ("no_records", "columns hold no record k = 0"),
+        ("column_not_string", "column 'lam' is not a string"),
+        ("non_base64", "column 'lam' is not base64"),
+        ("partial_value", r"column 'F_value' holds \d+ bytes, not a multiple of 8"),
+        ("unknown_column", r"columns has unknown keys \['foo'\]"),
+        ("unknown_metadata_key", r"metadata has unknown keys \['bar'\]"),
         ("no_dtypes", "lacks 'dtypes'"),
         ("big_endian_dtypes", "'dtypes' holds"),
         ("no_version", "lacks 'version'"),
-        ("version=1", "'version' holds 1, not 3"),
-        ("version=2", "'version' holds 2, not 3"),
-        ("version=4", "'version' holds 4, not 3"),
-        ("version=3.0", "'version' holds 3.0, not 3"),
-        ("k_not_consecutive", r"column 'k' is not 0, 1, \.\.\., K"),
+        ("version=1", "'version' holds 1, not 4"),
+        ("version=2", "'version' holds 2, not 4"),
+        ("version=3", "'version' holds 3, not 4"),
+        ("version=5", "'version' holds 5, not 4"),
+        ("version=4.0", "'version' holds 4.0, not 4"),
         ("row_major", "lacks 'version'"),
         ("row_major_version_2", "lacks 'columns'"),
-    ], ids=["unequal_length", "column_not_string", "non_base64", "partial_value",
-            "no_dtypes", "big_endian_dtypes", "no_version", "version_1", "version_2",
-            "version_4", "float_version", "k_not_consecutive", "row_major",
-            "row_major_version_2"])
+    ], ids=["unequal_length", "no_records", "column_not_string", "non_base64",
+            "partial_value", "unknown_column", "unknown_metadata_key", "no_dtypes",
+            "big_endian_dtypes", "no_version", "version_1", "version_2", "version_3",
+            "version_5", "float_version", "row_major", "row_major_version_2"])
     def test_json_layout_error_is_usage_error(self, tmp_path, capsys, case, message):
         """A file that is not one base64 string of whole values per column, all
-        of one length, under metadata of format version 3 with its dtypes is
-        refused; no reader takes the row-major layout or version 2's arrays."""
+        of one length and holding record 0, under metadata of format version 4
+        with its dtypes and no other key or column is refused; no reader takes
+        the row-major layout, version 2's arrays or version 3's column names."""
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
         with open(path) as fh:
@@ -442,10 +448,11 @@ class TestTracePersistence:
                   | st.integers(0, 2**64 - 1).map(from_bits))
         ints = st.sampled_from([-2**63, 2**63 - 1]) | st.integers(-2**63, 2**63 - 1)
         n = data.draw(st.integers(1, 5))
-        cols = {f: data.draw(st.lists(ints if dt == "<i8" else floats, min_size=n, max_size=n))
-                for _, f, dt in TRACE_SCHEMA}
-        cols["k"] = list(range(n))  # the reader refuses any other k column
-        records = [IterationRecord(**dict(zip(cols, row))) for row in zip(*cols.values())]
+        cols = {f: data.draw(st.lists(ints if TRACE_DTYPE[f].kind == "i" else floats,
+                                      min_size=n, max_size=n))
+                for f in TRACE_DTYPE.names}
+        records = [IterationRecord(k, **dict(zip(cols, row)))
+                   for k, row in enumerate(zip(*cols.values()))]
         trace = trace_of(records, problem_name="p", lambda0=data.draw(floats.filter(
             math.isfinite)), termination="max_iters", seed=data.draw(ints | st.none()))
         with tempfile.TemporaryDirectory() as tmp:
@@ -456,7 +463,7 @@ class TestTracePersistence:
             assert identical(getattr(back, name), getattr(trace, name)), name
         assert len(back.all_records()) == n
         for a, b in zip(trace.all_records(), back.all_records()):
-            for _, f, _ in TRACE_SCHEMA:
+            for f in TRACE_DTYPE.names:
                 assert identical(getattr(b, f), getattr(a, f)), (a.k, f)
 
     def test_infinite_F_reads_back_and_replays_as_live(self, tmp_path):
@@ -477,6 +484,43 @@ class TestTracePersistence:
         assert ({c.name: c.passed for c in replay.checks}
                 == {c.name: c.passed for c in live.report.checks})
         assert cli_main(["check", path]) == 0
+
+    def test_replay_reproduces_the_live_report(self, tmp_path):
+        """A monitored PSD quadratic's trace, written and read back, replays
+        with the same constants to the live report, CheckResult for
+        CheckResult, sum_bound included."""
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+        config = SolverConfig(rho=RhoSequence.custom([1.0, 0.5, 0.25]), max_iters=30,
+                              monitor=True)
+        live = run(p, np.ones(3), config)
+        assert live.report.skipped == [] and math.isfinite(live.report.S)
+        path = str(tmp_path / "t.json")
+        write_trace(live.trace, "json", path)
+        replay = monitor_check(read_trace(path), p, rho_total(config.rho))
+        assert replay.checks == live.report.checks and replay.skipped == []
+        assert replay.check("sum_bound").n_checked == live.trace.iterations
+
+    def test_numpy_integer_seed_round_trips(self, tmp_path):
+        """A NumPy integer seed is kept as a Python int, so the trace file
+        holds it and reads it back."""
+        res = small_result(seed=np.int64(3))
+        assert type(res.trace.seed) is int and res.trace.seed == 3
+        path = str(tmp_path / "t.json")
+        write_trace(res.trace, "json", path)
+        assert read_trace(path).seed == 3
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative, got -1"),
+        (np.int64(-2), "seed must be non-negative, got -2"),
+        (1.0, "seed must be an integer, got 1.0"),
+        ("3", "seed must be an integer, got '3'"),
+    ], ids=["negative", "negative_numpy", "float", "string"])
+    def test_bad_seed_refused_before_any_oracle_call(self, seed, message):
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=0)
+        with pytest.raises(UsageError, match=message):
+            run(p, np.ones(3), SolverConfig(), seed=seed)
+        c = p.counters
+        assert (c.n_value, c.n_gradient, c.n_prox) == (0, 0, 0)
 
 
 class TestConfig:
@@ -822,6 +866,18 @@ class TestCli:
         assert line.startswith("  monitor complexity_bound_realized: FAIL [")
         assert "(k=1: lhs=" in line
 
+    def test_check_replays_the_live_report(self, tmp_path, capsys):
+        """`check` given the problem's constants prints the nine lines that
+        `solve --monitor` printed, sum_bound's among them."""
+        out = str(tmp_path / "trace.json")
+        assert cli_main(["solve", "--dim", "3", "--lambda0", "0.1", "--max-iters", "25",
+                         "--monitor", "--out", out]) == 0
+        live = [ln[len("  monitor "):] for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("  monitor ")]
+        assert len(live) == 9 and live[-1].startswith("sum_bound: pass")
+        assert cli_main(["check", out, "--known-L", "1", "--fstar", "0", "--rho", "rho2"]) == 0
+        assert capsys.readouterr().out.splitlines() == live
+
     def test_check_clean_trace(self, tmp_path, capsys):
         out = str(tmp_path / "trace.json")
         assert cli_main(["solve", "--problem", "quadratic", "--dim", "3",
@@ -852,7 +908,7 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
 
     def test_check_nan_observation_exits_3(self, tmp_path, capsys):
-        assert self.check_corrupted(tmp_path, "F", math.nan) == 3
+        assert self.check_corrupted(tmp_path, "F_value", math.nan) == 3
         assert "FAIL" in capsys.readouterr().out
 
     def test_check_rho_below_minus_one(self, tmp_path, capsys):
@@ -860,11 +916,11 @@ class TestCli:
         which fails growth_cap at k=1 with or without constants (exit 3). It
         also gives a negative omega_1 and NaN weights after it: with the
         constants omega_lower fails; without them it is skipped."""
-        assert self.check_corrupted(tmp_path, "rho", -5.0, problem=LASSO) == 3
+        assert self.check_corrupted(tmp_path, "rho_used", -5.0, problem=LASSO) == 3
         out = capsys.readouterr().out
         assert "growth_cap: FAIL [25 checks, worst slack nan] (k=1:" in out
         assert "omega_lower: skipped" in out
-        assert self.check_corrupted(tmp_path, "rho", -5.0, CONSTANTS, problem=LASSO) == 3
+        assert self.check_corrupted(tmp_path, "rho_used", -5.0, CONSTANTS, problem=LASSO) == 3
         assert ("omega_lower: FAIL [25 checks, worst slack nan] (k=1:"
                 in capsys.readouterr().out)
 
@@ -875,11 +931,12 @@ class TestCli:
         test_check_rho_below_minus_one and test_sum_bound_past_float64_is_inf
         with warnings turned into errors."""
         for flags in ((), CONSTANTS):
-            assert self.check_corrupted(tmp_path, "rho", -5.0, flags, problem=LASSO) == 3
+            assert self.check_corrupted(tmp_path, "rho_used", -5.0, flags, problem=LASSO) == 3
             assert "growth_cap: FAIL [25 checks, worst slack nan]" in capsys.readouterr().out
-        init = IterationRecord(0, 1.0, 1.0, 1.0, 1e155, math.nan, math.nan, math.nan, 0.0, 1, 1, 1)
-        rec = IterationRecord(1, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.1, 0.0, 2, 2, 2)
-        trace = trace_of([init, rec], residual_sq=np.array([1.0]))
+        init = IterationRecord(0, 1.0, 1.0, 1.0, 1e155, math.nan, math.nan, math.nan, 0.0,
+                               1, 1, 1, 0.0)
+        rec = IterationRecord(1, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.1, 0.0, 2, 2, 2, 1.0)
+        trace = trace_of([init, rec])
         rep = monitor_check(trace, None, 0.2, fstar=0.0, known_L=1e-160)
         assert rep.S == math.inf and rep.check("sum_bound").passed
 

@@ -7,8 +7,9 @@ import numpy as np
 
 from adaprox import SolverConfig, run
 from adaprox.cli import cli_main
-from adaprox.harness import TRACE_SCHEMA, write_trace
+from adaprox.harness import write_trace
 from adaprox.problems import quadratic_problem
+from adaprox.solver import TRACE_DTYPE
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -48,7 +49,7 @@ def test_readme_trace_table_recipe_runs(tmp_path, monkeypatch):
     scope = {}
     exec(block, scope)
     records = result.trace.all_records()
-    for c, f, dtype in TRACE_SCHEMA:
-        expected = np.array([getattr(r, f) for r in records], dtype)
+    for c in TRACE_DTYPE.names:
+        expected = np.array([getattr(r, c) for r in records], TRACE_DTYPE[c])
         assert scope["table"][c].dtype == expected.dtype, c
         assert scope["table"][c].tobytes() == expected.tobytes(), c

@@ -287,7 +287,7 @@ def test_non_finite_first_step_ends_run():
         res = run(quadratic_problem(np.linspace(0.1, 1, 5)), x0,
                   SolverConfig(lambda0=1e155, max_iters=50))
     assert res.termination == "non_finite"
-    assert res.trace.records == [] and res.trace.init.gradmap_norm == math.inf
+    assert len(res.trace.records) == 0 and res.trace.init.gradmap_norm == math.inf
     assert np.array_equal(res.x_final, x0) and res.x_final is not x0
 
 
@@ -306,7 +306,7 @@ class TestTermination:
     def test_tol_at_init(self):
         res = run(half_sq(), np.array([0.0]), SolverConfig(max_iters=50))
         assert res.trace.termination == "tol"
-        assert res.trace.records == []
+        assert len(res.trace.records) == 0
         assert res.trace.min_gradmap() == 0.0
 
     def test_tol_mid_run(self):
@@ -322,7 +322,7 @@ class TestTermination:
         p = CompositeProblem(smooth=smooth, nonsmooth=Zero())
         res = run(p, np.array([0.0]), SolverConfig(max_iters=10))
         assert res.trace.termination == "stagnation"
-        assert res.trace.records == []  # stalled before the first full step
+        assert len(res.trace.records) == 0  # stalled before the first full step
         # x_final is the lambda0 = 1 prox step x_1 = x_0 - (x_0 - a)
         assert res.x_final[0] == a
 
@@ -349,7 +349,7 @@ class TestTermination:
         p = half_sq()
         res = run(p, np.array([3.0]), SolverConfig(max_iters=0))
         assert res.trace.termination == "max_iters"
-        assert res.trace.records == []
+        assert len(res.trace.records) == 0
         assert res.best_F == res.trace.init.F_value == 4.5
         assert p.counters.n_gradient == 1
 
@@ -369,7 +369,7 @@ def test_oracle_economy_one_gradient_per_iteration():
 def test_min_gradmap_matches_independent_scan():
     p = quadratic_problem([0.3, 1.0, 2.5], seed=5)
     res = run(p, np.ones(3), SolverConfig(max_iters=40))
-    scan = min(r.gradmap_norm for r in [res.trace.init] + res.trace.records)
+    scan = min(r.gradmap_norm for r in res.trace.all_records())
     assert res.trace.min_gradmap() == scan
     for r in res.trace.all_records():
         assert res.trace.min_gradmap() <= r.gradmap_norm
@@ -641,7 +641,7 @@ class TestMonitorIntegration:
         # the streamed residuals depend on lam_{k-1}: recompute them for the
         # corrupted trace, so a bad lam_5 reaches sum_bound at k=6
         lams = [r.lam for r in res.trace.all_records()]
-        res.trace.residual_sq = written_out_residuals(xs, gs, lams)
+        res.trace.rows["residual_sq"][1:] = written_out_residuals(xs, gs, lams)
         rep = monitor_check(res.trace, p, rho_total(rho))
         assert rep.skipped == []
         for name, k in failures.items():
@@ -665,9 +665,10 @@ class TestMonitorIntegration:
     def test_sum_bound_past_float64_is_inf(self):
         """hi = lam0 exp(P/2) whose square overflows, with omega_lower > 0: S
         is inf, which the running sum meets."""
-        init = IterationRecord(0, 1.0, 1.0, 1.0, 1e155, math.nan, math.nan, math.nan, 0.0, 1, 1, 1)
-        rec = IterationRecord(1, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.1, 0.0, 2, 2, 2)
-        trace = trace_of([init, rec], residual_sq=np.array([1.0]))
+        init = IterationRecord(0, 1.0, 1.0, 1.0, 1e155, math.nan, math.nan, math.nan, 0.0,
+                               1, 1, 1, 0.0)
+        rec = IterationRecord(1, 0.5, 0.5, 0.5, 1.0, 0.0, 0.0, 0.1, 0.0, 2, 2, 2, 1.0)
+        trace = trace_of([init, rec])
         rep = monitor_check(trace, None, 0.2, fstar=0.0, known_L=1e-160)
         assert rep.omega_lower == math.exp(-0.3) and rep.S == math.inf
         assert rep.check("sum_bound").passed
@@ -683,16 +684,45 @@ class TestMonitorIntegration:
             with pytest.raises(UsageError, match="lambda0"):
                 monitor_check(res.trace, *args)
 
-    @pytest.mark.parametrize("extra", [1, -1], ids=["K+1", "K-1"])
-    def test_residuals_not_one_per_iteration_refused(self, extra):
-        """A residual_sq with one entry too many or too few is a UsageError
-        naming the field, not NumPy's broadcast error."""
+    def test_nan_residual_fails_sum_bound(self):
+        """Row 0 of residual_sq marks the residuals as computed, so a NaN
+        residual at k >= 1, or at every k >= 1, fails sum_bound at its first k."""
         p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
-        res = run(p, np.ones(3), SolverConfig(engine="adapgnc", max_iters=10, monitor=True))
-        assert res.trace.iterations == len(res.trace.residual_sq) == 10
-        res.trace.residual_sq = np.zeros(10 + extra)
-        with pytest.raises(UsageError, match=f"residual_sq .* got {10 + extra} for K = 10"):
-            monitor_check(res.trace, p, rho_total(RhoSequence.rho2()))
+        res = run(p, np.ones(3), SolverConfig(max_iters=10, monitor=True))
+        assert res.report.check("sum_bound").passed
+        P = rho_total(RhoSequence.rho2())
+        for first, cells in ((5, slice(5, 6)), (1, slice(1, None))):
+            trace = replace(res.trace, rows=res.trace.rows.copy())
+            trace.rows["residual_sq"][cells] = math.nan
+            rep = monitor_check(trace, p, P)
+            assert rep.skipped == [] and rep.check("sum_bound").first_failure[0] == first
+
+    def test_residuals_not_computed_skip_sum_bound(self):
+        """A NaN row 0 says the residuals were not computed: sum_bound is
+        skipped, given every constant, for an unmonitored run (NaN in every
+        row) and for a monitored one whose row 0 is set to NaN."""
+        p = quadratic_problem([0.5, 1.0, 2.0], seed=7)
+        P = rho_total(RhoSequence.rho2())
+        plain = run(p, np.ones(3), SolverConfig(max_iters=10)).trace
+        assert np.isnan(plain.column("residual_sq")).all()
+        marked = run(p, np.ones(3), SolverConfig(max_iters=10, monitor=True)).trace
+        assert marked.column("residual_sq")[0] == 0.0
+        marked.rows["residual_sq"][0] = math.nan
+        for trace in (plain, marked):
+            assert monitor_check(trace, p, P).skipped == ["sum_bound"]
+
+    def test_record_not_at_its_position_refused(self):
+        """A record is assigned only at its own k, through ``records[i] = ...``
+        or ``Trace(records=...)``: the monitor numbers observations by row."""
+        trace = run(quadratic_problem([0.5, 1.0, 2.0], seed=7), np.ones(3),
+                    SolverConfig(max_iters=10)).trace
+        rec = trace.records[3]
+        with pytest.raises(UsageError, match="record k=4 cannot be the trace's record 3"):
+            trace.records[2] = rec
+        with pytest.raises(UsageError, match="record k=2 cannot be the trace's record 1"):
+            replace(trace, records=trace.records[1:])
+        trace.records[3] = replace(rec, lam=0.5)
+        assert trace.column("lam")[4] == 0.5
 
     @pytest.mark.parametrize("P", [-10.0, math.nan, -math.inf])
     def test_bad_rho_total_refused(self, P):
@@ -805,19 +835,29 @@ def test_records_are_a_view_of_the_rows():
     rec = trace.records[2]
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.l_k = 2.0
-    assert trace.records == trace.all_records()[1:] and trace.records[-1].x is not None
+    assert row_bits(trace.records) == row_bits(trace.all_records()[1:])
+    assert trace.records[-1].x is not None
     altered = replace(trace, records=list(trace.records))
     altered.records[2] = replace(rec, l_k=2.0)
     assert altered.column("l_k")[3] == altered.all_records()[3].l_k == 2.0
-    assert trace.records[2] == rec and monitor_check(trace, p, P).passed
+    assert row_bits([trace.records[2]]) == row_bits([rec]) and monitor_check(trace, p, P).passed
     assert monitor_check(altered, p, P).check("step_condition").first_failure[0] == 3
 
 
+def row_bits(records) -> tuple:
+    """The records' k and the bytes of their rows: equal for equal records,
+    bit for bit, NaN fields included."""
+    return [r.k for r in records], trace_of(records).rows.tobytes()
+
+
 def test_row_packer_has_the_dtype_layout():
-    """A row packed by the loop reads back through TRACE_DTYPE field for field."""
-    values = (3, -1.5, 2.5, 0.25, 1e-300, math.inf, -0.0, 1e10, 0.125, 7, -2**63, 2**63 - 1)
+    """A row packed by the loop reads back through TRACE_DTYPE field for field;
+    the fields are IterationRecord's but k, x and grad, in its order."""
+    values = (-1.5, 2.5, 0.25, 1e-300, math.inf, -0.0, 1e10, 0.125, 7, -2**63, 2**63 - 1, 0.5)
     assert _ROW.size == TRACE_DTYPE.itemsize == 96
     assert np.frombuffer(_ROW.pack(*values), TRACE_DTYPE)[0].item() == values
+    names = [f.name for f in dataclasses.fields(IterationRecord)]
+    assert list(TRACE_DTYPE.names) == names[1:-2] and "k" not in TRACE_DTYPE.names
 
 
 def test_trace_keeps_at_most_128_bytes_per_record(tmp_path):
@@ -909,16 +949,18 @@ def residual_band(xs, gs, lams):
 
 
 def assert_residuals_within_band(problem, x0, res, written=None):
-    """The trace's residual_sq holds one float64 per kept record and agrees
-    with ``written`` (by default written_out_residuals of the iterates
-    replayed from the run) within residual_band at every k."""
+    """The trace's residual_sq column holds 0.0 at k = 0 and, at each kept
+    record k >= 1, a float64 that agrees with ``written`` (by default
+    written_out_residuals of the iterates replayed from the run) within
+    residual_band."""
     xs, gs = replay_iterates(problem, x0, res)
     lams = [r.lam for r in res.trace.all_records()]
     if written is None:
         written = written_out_residuals(xs, gs, lams)
-    sq = res.trace.residual_sq
-    assert sq.dtype == np.float64 and sq.shape == (len(res.trace.records),) == written.shape
-    assert np.all(np.abs(sq - written) <= residual_band(xs, gs, lams))
+    sq = res.trace.column("residual_sq")
+    assert sq.dtype == np.float64 and sq[0] == 0.0
+    assert sq[1:].shape == (len(res.trace.records),) == written.shape
+    assert np.all(np.abs(sq[1:] - written) <= residual_band(xs, gs, lams))
 
 
 @settings(max_examples=150, deadline=None)
@@ -989,8 +1031,8 @@ def test_residuals_of_kept_records_only(nan_problem):
 def test_no_iterations_keep_empty_float64_residuals():
     res = run(quadratic_problem([0.5, 1.0, 2.0], seed=1), np.ones(3),
               SolverConfig(max_iters=0, monitor=True))
-    sq = res.trace.residual_sq
-    assert sq is not None and sq.dtype == np.float64 and sq.shape == (0,)
+    sq = res.trace.column("residual_sq")
+    assert sq.dtype == np.float64 and sq.tolist() == [0.0]
 
 
 def test_residual_block_memory_is_bounded_at_large_n():
