@@ -8,6 +8,9 @@ The grid runs every ENGINES row on quadratics (n = 5 and 100, PSD and
 indefinite), lasso, NMF, matrix completion and small dense and sparse
 logistic problems, and each rho kind with two lambda0 on the rho engines;
 at most 300 iterations each, with the monitor on where it covers the engine.
+Two longer monitored runs, on the ill-conditioned quadratic of the
+benchmark's quad-monitored workload under rho2 and zero, span more than two
+of the monitor's replay blocks.
 An entry holds the termination, the iteration count, the SHA-256 of each
 trace column's bytes but elapsed_seconds, residual_sq among them, and of each
 CheckResult's repr, and the names of the skipped checks; a run that stops
@@ -42,15 +45,24 @@ from adaprox import (  # noqa: E402
     run,
 )
 from adaprox.harness import build_problem  # noqa: E402
-from adaprox.problems import SparseDesign, logistic_gamma, logistic_problem, rng  # noqa: E402
+from adaprox.problems import (  # noqa: E402
+    SparseDesign,
+    logistic_gamma,
+    logistic_problem,
+    quadratic_problem,
+    rng,
+)
 from adaprox.solver import ENGINES, TRACE_DTYPE  # noqa: E402
 
 CORPUS = ROOT / "tests" / "data" / "corpus.json"
 
 MAX_ITERS = 300
 
+#: The iteration cap of the long runs: past two 1024-row replay blocks.
+LONG_ITERS = 2500
+
 #: name -> flat problem spec of harness.build_problem; "logistic-sparse" is
-#: built below, as no spec draws a sparse design.
+#: built by BUILDERS, as no spec draws a sparse design.
 PROBLEMS = {
     "quad5-psd": {"kind": "quadratic", "dim": "5", "eig_min": "0.1", "eig_max": "2"},
     "quad5-indef": {"kind": "quadratic", "dim": "5", "eig_min": "-0.5", "eig_max": "2"},
@@ -77,10 +89,21 @@ def sparse_logistic(seed: int):
     return logistic_problem(design, logistic_gamma(design)), np.zeros(30)
 
 
+def geometric_quadratic(seed: int):
+    """The quad-monitored workload's quadratic: spectrum geomspace(1e-4, 1, 100),
+    so L = 1 and f* = 0 are known and every check runs, from x0 = ones."""
+    return quadratic_problem(np.geomspace(1e-4, 1.0, 100), seed=seed), np.ones(100)
+
+
+#: name -> builder of (problem, x0) from a seed, for the problems no spec draws.
+BUILDERS = {"logistic-sparse": sparse_logistic, "quad100-geom": geometric_quadratic}
+
+
 def grid():
     """(name, problem key, SolverConfig) for every run of the corpus: each
     engine on each problem with rho2 and lambda0 = 1, then each rho kind and
-    lambda0 in (1, 0.01) for each rho engine on quad5-psd and lasso."""
+    lambda0 in (1, 0.01) for each rho engine on quad5-psd and lasso, then the
+    long monitored runs."""
     for prob in PROBLEMS:
         for engine, row in ENGINES.items():
             yield f"{prob}/{engine}", prob, SolverConfig(
@@ -94,6 +117,9 @@ def grid():
                     yield f"{prob}/{engine}/{rho_name}/{lam0!r}", prob, SolverConfig(
                         engine=engine, rho=rho, lambda0=lam0, max_iters=MAX_ITERS,
                         monitor=row.monitored)
+    for rho_name in ("rho2", "zero"):
+        yield f"quad100-geom/adapgnc/{rho_name}/{LONG_ITERS}", "quad100-geom", SolverConfig(
+            rho=RHOS[rho_name], max_iters=LONG_ITERS, monitor=True)
 
 
 def _sha(data: bytes) -> str:
@@ -103,8 +129,8 @@ def _sha(data: bytes) -> str:
 def entry(prob: str, config: SolverConfig) -> dict:
     """One run's hashes; a run that raises one of the library's errors gives
     that error instead."""
-    spec = PROBLEMS[prob]
-    problem, x0 = sparse_logistic(1) if spec is None else build_problem(spec, 1)
+    spec = PROBLEMS.get(prob)
+    problem, x0 = BUILDERS[prob](1) if spec is None else build_problem(spec, 1)
     try:
         res = run(problem, x0, config, seed=1)
     except (UsageError, NumericalDomainError, NonconvexDetected, LineSearchFailed) as exc:

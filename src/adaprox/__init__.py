@@ -29,7 +29,6 @@ from .monitor import MonitorReport, monitor_check
 from .prox import (
     L1,
     BoxIndicator,
-    L2Squared,
     NonnegIndicator,
     Zero,
     gradient_mapping,

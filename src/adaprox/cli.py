@@ -7,6 +7,7 @@ non-finite value), 2 usage error, 3 monitor violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -44,6 +45,20 @@ PROBLEM_FLAGS = ("data", "m", "n", "p", "q", "r", "dim", "nobs", "gamma")
 def _given(args, keys) -> dict:
     """The flags among ``keys`` that were given, as {key: value}."""
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _probe_out(path: str) -> None:
+    """Refuse an output file that cannot be written, before any work: a
+    UsageError naming it. The probe opens the file for appending, which
+    leaves an existing file as it is, and removes a file it created."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "ab"):
+            pass
+        if not existed:
+            os.remove(path)
+    except OSError as exc:
+        raise UsageError(f"output file not writable: {path}: {exc.strerror}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,6 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     config = solver_config("solve", _given(args, SOLVER_KEYS), monitor=args.monitor)
+    if args.out:
+        _probe_out(args.out)
     problem, x0 = build_problem({"kind": args.problem, **_given(args, PROBLEM_FLAGS)},
                                 args.seed)
     result = run(problem, x0, config, seed=args.seed)
@@ -136,6 +153,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     _, p = problem_params({"kind": "logistic", **_given(args, ("m", "n"))})
+    _probe_out(args.out)
     design = logistic_synthetic(p["m"], p["n"], args.seed)
     with open(args.out, "w") as fh:
         write_libsvm(design, fh)

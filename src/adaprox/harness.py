@@ -297,7 +297,7 @@ def write_libsvm(design: SparseDesign, stream) -> None:
 # Trace persistence
 
 #: The layout of a trace file, written as its metadata "version".
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 
 #: The metadata "dtypes" map: each TRACE_DTYPE field's NumPy dtype string.
 #: Each column is stored as the base64 of its values' bytes in that dtype.
@@ -313,10 +313,12 @@ def _json_float(v: float):
 
 
 def write_trace(trace: Trace, fmt: str, path: str) -> None:
-    """Persist a trace as one strict JSON object: the run metadata, with the
-    layout version and the columns' dtypes, and one base64 string per
-    TRACE_DTYPE field, under the field's name, holding its values' raw
-    bytes, k = 0 first. ``fmt`` must be "json".
+    """Persist a trace as strict JSON, one object per line: line 1 is
+    {"metadata": {...}}, the run metadata with the layout version and the
+    columns' dtypes; then one line {"<field>": "<base64>"} per TRACE_DTYPE
+    field, in that order, holding its values' raw bytes, k = 0 first. Nothing
+    follows the last line's newline. ``fmt`` must be "json"; a path that
+    cannot be written is a UsageError naming it.
 
     Each column is copied out of the trace's rows and encoded on its own,
     which bounds the writer's memory at one column's encoding."""
@@ -326,16 +328,16 @@ def write_trace(trace: Trace, fmt: str, path: str) -> None:
     metadata.update(version=TRACE_VERSION, dtypes=TRACE_DTYPES)
     # encoded before the file is opened, so that metadata strict JSON cannot
     # hold, such as a lambda0 of inf, raises with an existing file unchanged
-    head = b'{"metadata": ' + json.dumps(metadata, allow_nan=False).encode() + b', "columns": {'
-    with open(path, "wb") as fh:
-        fh.write(head)
-        sep = b"\n"
-        for c in TRACE_DTYPE.names:
-            fh.write(sep + f'"{c}": "'.encode())
-            fh.write(base64.b64encode(trace.rows[c].tobytes()))
-            fh.write(b'"')
-            sep = b",\n"
-        fh.write(b"\n}}\n")
+    head = json.dumps({"metadata": metadata}, allow_nan=False).encode() + b"\n"
+    try:
+        with open(path, "wb") as fh:
+            fh.write(head)
+            for c in TRACE_DTYPE.names:
+                fh.write(f'{{"{c}": "'.encode())
+                fh.write(base64.b64encode(trace.rows[c].tobytes()))
+                fh.write(b'"}\n')
+    except OSError as exc:
+        raise UsageError(f"cannot write trace {path}: {exc.strerror}") from None
 
 
 #: The trace metadata in the order the reader checks it: (key, the Trace
@@ -356,6 +358,26 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not RFC 8259 JSON")
 
 
+#: The decoder of a trace file's lines: strict JSON, built once.
+_TRACE_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _trace_line(fh, i: int):
+    """Line i of a trace file as the (key, value) of the one-key JSON object
+    it holds, or (None, None) at the end of the file."""
+    line = fh.readline()
+    if not line:
+        return None, None
+    try:
+        obj = _TRACE_JSON.decode(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {i} is not JSON ({exc.msg} at character {exc.pos}); layout "
+                         f"version {TRACE_VERSION} holds one JSON object per line") from None
+    if type(obj) is not dict or len(obj) != 1:
+        raise ValueError(f"line {i} is not a JSON object of one key")
+    return obj.popitem()
+
+
 def _read_column(name: str, text, dtype: str) -> np.ndarray:
     """A column's base64 string as the array of its values, bit for bit."""
     if type(text) is not str:
@@ -370,34 +392,60 @@ def _read_column(name: str, text, dtype: str) -> np.ndarray:
 
 
 def read_trace(path: str) -> Trace:
-    """Load a JSON trace. A file that is not such a trace, with every metadata
-    key present and of its type, the current version and dtypes among them,
-    every column a base64 string of whole values, all of one length, holding
-    at least record 0, and no other key or column, is a UsageError naming it;
-    so is a file that cannot be read.
+    """Load a JSON trace of the layout write_trace writes. A file that is not
+    such a trace is a UsageError naming it; so is a file that cannot be read.
+    The metadata line must hold every metadata key, of its type, the current
+    version and dtypes among them, and no other. Each column line must hold
+    one key, the next TRACE_DTYPE field (a missing, unknown, repeated or
+    out-of-order column is refused), and a base64 string of whole values,
+    all columns of one length, holding at least record 0; no line may follow
+    the last column.
 
-    Each column's string is dropped as it is decoded, so the file's text and
-    the decoded values are not all held at once; the columns are then copied
-    into the trace's rows."""
+    The file is read a line at a time. The rows are allocated from the first
+    column's length and each column is decoded straight into its field, so
+    besides the rows the reader holds one line's text, its string and its
+    bytes at most."""
+    names = TRACE_DTYPE.names
     try:
-        with open(path) as fh:
-            payload = json.load(fh, parse_constant=_reject_constant)
-        meta = payload["metadata"]
-        for key, _, ok, what in _METADATA:
-            if not ok(meta[key]):
-                raise ValueError(f"metadata {key!r} holds {meta[key]!r}, not {what}")
-        _reject_unknown("metadata", meta, [key for key, _, _, _ in _METADATA])
-        columns = payload["columns"]
-        cols = [_read_column(c, columns.pop(c), dt) for c, dt in TRACE_DTYPES.items()]
-        _reject_unknown("columns", columns, ())
-        if len(set(map(len, cols))) > 1:
-            raise ValueError("columns of unequal length: " + ", ".join(
-                f"{c} {len(v)}" for c, v in zip(TRACE_DTYPES, cols)))
-        if not len(cols[0]):
-            raise ValueError("columns hold no record k = 0")
-        rows = np.empty(len(cols[0]), TRACE_DTYPE)
-        for c, col in zip(TRACE_DTYPES, cols):
-            rows[c] = col
+        with open(path, encoding="utf-8") as fh:
+            key, meta = _trace_line(fh, 1)
+            if key != "metadata":
+                raise KeyError("metadata")
+            for key, _, ok, what in _METADATA:
+                if not ok(meta[key]):
+                    raise ValueError(f"metadata {key!r} holds {meta[key]!r}, not {what}")
+            _reject_unknown("metadata", meta, [key for key, _, _, _ in _METADATA])
+            rows = None
+            # the columns in order, then the end of the file
+            for i, c in enumerate((*names, None), start=2):
+                key, text = _trace_line(fh, i)
+                if key != c:
+                    if key is None:
+                        raise KeyError(c)
+                    _reject_unknown("columns", (key,), names)
+                    if c is None or names.index(key) < names.index(c):
+                        raise ValueError(f"line {i} repeats column {key!r}")
+                    # c is missing, or further down: read on to tell which
+                    later, j = key, i
+                    while later not in (c, None):
+                        j += 1
+                        later, _ = _trace_line(fh, j)
+                    if later is None:
+                        raise KeyError(c)
+                    raise ValueError(f"line {i} holds column {key!r} where {c!r} belongs")
+                if c is None:
+                    break
+                col = _read_column(c, text, TRACE_DTYPES[c])
+                del text  # one line's string and bytes at a time
+                if rows is None:
+                    if not len(col):
+                        raise ValueError("columns hold no record k = 0")
+                    rows = np.empty(len(col), TRACE_DTYPE)
+                elif len(col) != len(rows):
+                    raise ValueError(f"columns of unequal length: "
+                                     f"{names[0]} {len(rows)}, {c} {len(col)}")
+                rows[c] = col
+                del col
         fields = {attr: meta[key] for key, attr, _, _ in _METADATA if attr}
         fields["lambda0"] = float(fields["lambda0"])  # JSON may hold it as an integer
         return Trace(rows=rows, **fields)

@@ -75,23 +75,6 @@ class BoxIndicator(ProxKind):
         return 0.0 if ok else np.inf
 
 
-@dataclass
-class L2Squared(ProxKind):
-    """h(x) = (weight / 2) * ||x||^2."""
-
-    weight: float
-
-    def __post_init__(self):
-        if not self.weight > 0.0:
-            raise UsageError(f"L2Squared weight must be positive, got {self.weight}")
-
-    def _prox(self, x, t):
-        return x / (1.0 + t * self.weight)
-
-    def _value(self, x):
-        return 0.5 * self.weight * float(np.dot(x, x))
-
-
 def gradient_mapping(problem: CompositeProblem, x: Vector, eta: float) -> Vector:
     """G_eta(x) = (x - prox_{eta h}(x - eta grad f(x))) / eta.
 

@@ -102,10 +102,14 @@ class SolverConfig:
             raise UsageError("gradmap_tol must be nonnegative")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class IterationRecord:
     """One row of a trace as an object, built from the row on access; k is
-    the row's position."""
+    the row's position.
+
+    Two records are equal when their k, their scalar fields bit for bit
+    (their packed rows: a NaN equals itself, -0.0 is not 0.0) and their x
+    and grad, as arrays, are; the hash is that of k and the packed row."""
 
     k: int
     f_value: float
@@ -123,6 +127,23 @@ class IterationRecord:
     # set on the last kept record only; kept because the benchmark's checks read them
     x: Optional[Vector] = None
     grad: Optional[Vector] = None
+
+    def _bits(self) -> tuple:
+        """k and the packed row: the scalar fields bit for bit."""
+        return self.k, _ROW.pack(*_ROW_FIELDS(self))
+
+    def __eq__(self, other):
+        if type(other) is not IterationRecord:
+            return NotImplemented
+        return (self._bits() == other._bits() and _same_array(self.x, other.x)
+                and _same_array(self.grad, other.grad))
+
+    def __hash__(self):
+        return hash(self._bits())
+
+
+def _same_array(a: Optional[Vector], b: Optional[Vector]) -> bool:
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
 #: The trace columns: one 96-byte row per record, a field per IterationRecord

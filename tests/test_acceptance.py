@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from conftest import replay_iterates
+from helpers import L2Squared
 
 from adaprox import (
     RhoSequence,
@@ -34,7 +35,7 @@ from adaprox.problems import (
     rng,
 )
 from adaprox.prox import gradient_mapping
-from adaprox.prox import L1, BoxIndicator, L2Squared, NonnegIndicator, Zero
+from adaprox.prox import L1, BoxIndicator, NonnegIndicator, Zero
 
 SEEDS = range(5)
 SLACK = 1e-9

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import trace_of
+from helpers import read_payload, trace_of, write_payload
 
 from adaprox import RhoSequence, SolverConfig, UsageError, monitor_check, run
 from adaprox.adaptive import RHO_NAMES, rho_total
@@ -63,8 +63,8 @@ def from_bits(bits: int) -> float:
 
 def without_elapsed(blob: bytes) -> bytes:
     """A trace file's bytes with the elapsed_seconds column's string cut out."""
-    key = b'"elapsed_seconds": "'
-    start = blob.index(key, blob.index(b'"columns"')) + len(key)
+    key = b'\n{"elapsed_seconds": "'
+    start = blob.index(key) + len(key)
     return blob[:start] + blob[blob.index(b'"', start):]
 
 
@@ -217,6 +217,39 @@ def with_layout_fault(payload, case):
     return payload
 
 
+def with_line_fault(lines, case):
+    """The lines of a trace file (metadata first, then the twelve columns)
+    with the fault named by ``case``, as the file's text."""
+    lines = list(lines)
+    if case == "repeated_column":
+        lines.insert(5, lines[4])  # lam again where L_k belongs
+    elif case == "swapped_columns":
+        lines[4], lines[5] = lines[5], lines[4]
+    elif case == "column_after_the_last":
+        lines.append(lines[1])
+    elif case == "blank_line_after_the_last":
+        lines.append("\n")
+    elif case == "truncated":
+        lines.pop()
+    elif case == "two_keys":
+        lines[1:3] = [json.dumps({**json.loads(lines[1]), **json.loads(lines[2])}) + "\n"]
+    elif case == "empty_object":
+        lines[3] = "{}\n"
+    elif case == "array_line":
+        lines[1] = "[]\n"
+    elif case == "metadata_beside_a_column":
+        lines[0:2] = [json.dumps({**json.loads(lines[0]), **json.loads(lines[1])}) + "\n"]
+    else:  # layout version 4: one object of the metadata and a map of the columns
+        meta = dict(json.loads(lines[0])["metadata"], version=4)
+        columns = {c: text for line in lines[1:] for c, text in json.loads(line).items()}
+        if case == "version_4_file":  # as its writer wrote it, a column per line
+            return ('{"metadata": ' + json.dumps(meta) + ', "columns": {\n'
+                    + ",\n".join(f'"{c}": "{text}"' for c, text in columns.items())
+                    + "\n}}\n")
+        return json.dumps({"metadata": meta, "columns": columns})
+    return "".join(lines)
+
+
 def small_result(max_iters=8, engine="adapgnc", seed=3):
     p = quadratic_problem([0.5, 1.0, 2.0], seed=0)
     cfg = SolverConfig(engine=engine, max_iters=max_iters)
@@ -243,11 +276,9 @@ class TestTracePersistence:
     def test_json_missing_column_is_usage_error(self, tmp_path):
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_payload(path)
         del payload["columns"]["n_value"]
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        write_payload(path, payload)
         with pytest.raises(UsageError, match="t.json lacks 'n_value'"):
             read_trace(path)
 
@@ -255,8 +286,7 @@ class TestTracePersistence:
         res = small_result(seed=11)
         path = str(tmp_path / "t.json")
         write_trace(res.trace, "json", path)
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_payload(path)
         meta = payload["metadata"]
         assert meta["solver"] == "adapgnc"
         assert meta["seed"] == 11
@@ -271,12 +301,7 @@ class TestTracePersistence:
         res = small_result()
         path = str(tmp_path / "t.json")
         write_trace(res.trace, "json", path)
-
-        def reject(token):
-            raise ValueError(f"{token} is not RFC 8259 JSON")
-
-        with open(path) as fh:
-            payload = json.loads(fh.read(), parse_constant=reject)
+        payload = read_payload(path)  # each line parsed as strict JSON
         assert math.isnan(decode_column(payload, "L_k")[0])
         back = read_trace(path)
         for a, b in zip(res.trace.all_records(), back.all_records()):
@@ -358,14 +383,12 @@ class TestTracePersistence:
         decodes to 6 bytes."""
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_payload(path)
         if where == "columns":
             payload["columns"][key] = value
         else:
             payload["metadata"][key] = value
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        write_payload(path, payload)
         with pytest.raises(UsageError, match=f"t.json.*{key}"):
             read_trace(path)
         assert cli_main(["check", path]) == 2
@@ -376,11 +399,9 @@ class TestTracePersistence:
     def test_json_missing_metadata_key_is_usage_error(self, tmp_path, capsys, key):
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_payload(path)
         del payload["metadata"][key]
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        write_payload(path, payload)
         with pytest.raises(UsageError, match=f"t.json lacks '{key}'"):
             read_trace(path)
         assert cli_main(["check", path]) == 2
@@ -390,11 +411,9 @@ class TestTracePersistence:
         token is not RFC 8259 JSON, so the reader refuses it."""
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_payload(path)
         payload["metadata"]["lambda0"] = math.inf
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        write_payload(path, payload)
         with pytest.raises(UsageError, match="t.json: Infinity is not RFC 8259 JSON"):
             read_trace(path)
         assert cli_main(["check", path]) == 2
@@ -410,32 +429,99 @@ class TestTracePersistence:
         ("no_dtypes", "lacks 'dtypes'"),
         ("big_endian_dtypes", "'dtypes' holds"),
         ("no_version", "lacks 'version'"),
-        ("version=1", "'version' holds 1, not 4"),
-        ("version=2", "'version' holds 2, not 4"),
-        ("version=3", "'version' holds 3, not 4"),
-        ("version=5", "'version' holds 5, not 4"),
-        ("version=4.0", "'version' holds 4.0, not 4"),
+        ("version=1", "'version' holds 1, not 5"),
+        ("version=2", "'version' holds 2, not 5"),
+        ("version=3", "'version' holds 3, not 5"),
+        ("version=4", "'version' holds 4, not 5"),
+        ("version=6", "'version' holds 6, not 5"),
+        ("version=5.0", "'version' holds 5.0, not 5"),
         ("row_major", "lacks 'version'"),
-        ("row_major_version_2", "lacks 'columns'"),
+        ("row_major_version_2", r"columns has unknown keys \['records'\]"),
     ], ids=["unequal_length", "no_records", "column_not_string", "non_base64",
             "partial_value", "unknown_column", "unknown_metadata_key", "no_dtypes",
             "big_endian_dtypes", "no_version", "version_1", "version_2", "version_3",
-            "version_5", "float_version", "row_major", "row_major_version_2"])
+            "version_4", "version_6", "float_version", "row_major", "row_major_version_2"])
     def test_json_layout_error_is_usage_error(self, tmp_path, capsys, case, message):
         """A file that is not one base64 string of whole values per column, all
-        of one length and holding record 0, under metadata of format version 4
+        of one length and holding record 0, under metadata of format version 5
         with its dtypes and no other key or column is refused; no reader takes
-        the row-major layout, version 2's arrays or version 3's column names."""
+        the row-major layout, version 2's arrays, version 3's column names or
+        version 4's metadata. Each payload is written in the line layout, one
+        line per top-level key and one per column, so a row-major payload's
+        records come as a line of an unknown column."""
         path = str(tmp_path / "t.json")
         write_trace(small_result().trace, "json", path)
-        with open(path) as fh:
-            payload = json.load(fh)
-        with open(path, "w") as fh:
-            json.dump(with_layout_fault(payload, case), fh)
+        payload = read_payload(path)
+        write_payload(path, with_layout_fault(payload, case))
         with pytest.raises(UsageError, match=f"t.json.*{message}"):
             read_trace(path)
         assert cli_main(["check", path]) == 2
         assert "t.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [
+        ("repeated_column", "line 6 repeats column 'lam'"),
+        ("swapped_columns", "line 5 holds column 'L_k' where 'lam' belongs"),
+        ("column_after_the_last", "line 14 repeats column 'f_value'"),
+        ("blank_line_after_the_last", "line 14 is not JSON"),
+        ("truncated", "lacks 'residual_sq'"),
+        ("two_keys", "line 2 is not a JSON object of one key"),
+        ("empty_object", "line 4 is not a JSON object of one key"),
+        ("array_line", "line 2 is not a JSON object of one key"),
+        ("metadata_beside_a_column", "line 1 is not a JSON object of one key"),
+        ("version_4_file", "line 1 is not JSON"),
+        ("version_4_one_line", "line 1 is not a JSON object of one key"),
+    ], ids=["repeated_column", "swapped_columns", "column_after_the_last",
+            "blank_line_after_the_last", "truncated", "two_keys", "empty_object",
+            "array_line", "metadata_beside_a_column", "version_4_file", "version_4_one_line"])
+    def test_line_layout_error_is_usage_error(self, tmp_path, capsys, case, message):
+        """Each line must hold one JSON object of one key: the metadata, then
+        each column in TRACE_DTYPE's order, and nothing after the last. A
+        file of layout version 4, one object over many lines or on one, is
+        refused at its first line."""
+        path = tmp_path / "t.json"
+        write_trace(small_result().trace, "json", str(path))
+        path.write_text(with_line_fault(path.read_text().splitlines(keepends=True), case))
+        with pytest.raises(UsageError, match=f"t.json.*{message}"):
+            read_trace(str(path))
+        assert cli_main(["check", str(path)]) == 2
+        assert "t.json" in capsys.readouterr().err
+
+    def test_file_round_trips_bit_for_bit(self, tmp_path):
+        """A written trace reads back to rows of the same bytes, and writing
+        it again gives the same file: the metadata line and one line per
+        column, in order, with nothing after the last newline."""
+        trace = small_result(max_iters=30).trace
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_trace(trace, "json", str(first))
+        back = read_trace(str(first))
+        assert back.rows.tobytes() == trace.rows.tobytes()
+        write_trace(back, "json", str(second))
+        assert second.read_bytes() == first.read_bytes()
+        lines = first.read_text().split("\n")
+        assert lines[-1] == "" and len(lines) == 2 + len(TRACE_COLUMNS)
+        assert [next(iter(json.loads(line))) for line in lines[:-1]] == [
+            "metadata", *TRACE_COLUMNS]
+
+    def test_column_lines_in_other_json_spellings_read_the_same(self, tmp_path):
+        """A column line need not be spelled as write_trace spells it: escaped
+        characters, spaces, a key escape and a CRLF ending read as JSON does."""
+        trace = small_result(max_iters=30).trace
+        path = tmp_path / "t.json"
+        write_trace(trace, "json", str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert any("/" in line for line in lines[1:])
+        lines[1:] = [line.replace("/", "\\/") for line in lines[1:]]
+        lines[2] = '{ "F_value" :  ' + lines[2].split(": ", 1)[1].replace("}", " }")
+        lines[3] = lines[3].replace('"gradmap_norm"', '"gradmap\\u005fnorm"')
+        lines[4] = lines[4].replace("\n", "\r\n")
+        path.write_text("".join(lines))
+        assert read_trace(str(path)).rows.tobytes() == trace.rows.tobytes()
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_path_is_usage_error(self, tmp_path, where):
+        path = str(tmp_path / "nope" / "t.json") if where == "missing_dir" else str(tmp_path)
+        with pytest.raises(UsageError, match=f"cannot write trace {path}: "):
+            write_trace(small_result().trace, "json", path)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -893,14 +979,12 @@ class TestCli:
         column is replaced, or, given ``metadata``, one metadata value."""
         out = str(tmp_path / "trace.json")
         assert cli_main(["solve", "--problem", *problem, "--max-iters", "25", "--out", out]) == 0
-        with open(out) as fh:
-            payload = json.load(fh)
+        payload = read_payload(out)
         if metadata is None:
             edit_column(payload, column, 1, value)
         else:
             payload["metadata"][metadata] = value
-        with open(out, "w") as fh:
-            json.dump(payload, fh)
+        write_payload(out, payload)
         return cli_main(["check", out, *flags])
 
     def test_check_corrupted_trace_exits_3(self, tmp_path, capsys):
@@ -988,6 +1072,37 @@ class TestCli:
         out = str(tmp_path / "t.json")
         assert cli_main(["solve", "--max-iters", "10", "--out", out]) == 0
         assert cli_main(["check", out]) == 0
+
+    @pytest.mark.parametrize("argv, where", [
+        (["solve", "--max-iters", "5", "--out"], "missing_dir"),
+        (["solve", "--max-iters", "5", "--out"], "directory"),
+        (["gen", "--m", "20", "--n", "3", "--out"], "missing_dir"),
+    ], ids=["solve-missing-dir", "solve-directory", "gen-missing-dir"])
+    def test_unwritable_out_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                    argv, where):
+        """An --out path under a missing directory, or on a directory, is a
+        usage error naming it, found before the problem is built: no run line
+        and no file."""
+        import adaprox.cli
+
+        built = []
+        monkeypatch.setattr(adaprox.cli, "build_problem",
+                            lambda spec, seed: built.append(spec) or build_problem(spec, seed))
+        path = str(tmp_path / "nope" / "out") if where == "missing_dir" else str(tmp_path)
+        assert cli_main([*argv, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and built == []
+        assert f"usage error: output file not writable: {path}: " in captured.err
+        assert not os.path.exists(tmp_path / "nope")
+
+    def test_out_probe_keeps_an_existing_file(self, tmp_path, capsys):
+        """The probe neither truncates an existing file nor leaves one behind
+        where the run fails afterwards."""
+        kept, fresh = tmp_path / "t.json", tmp_path / "u.json"
+        kept.write_text("x")
+        assert cli_main(["solve", "--dim", "-1", "--out", str(kept)]) == 2
+        assert cli_main(["solve", "--dim", "-1", "--out", str(fresh)]) == 2
+        assert kept.read_text() == "x" and not fresh.exists()
 
     def test_solve_format_flag_is_gone(self, tmp_path, capsys):
         assert cli_main(["solve", "--format", "csv", "--out", str(tmp_path / "t.csv")]) == 2

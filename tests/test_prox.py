@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import L2Squared
+
 from adaprox import (
     CompositeProblem,
     SmoothOracle,
     UsageError,
     gradient_mapping,
 )
-from adaprox.prox import L1, BoxIndicator, L2Squared, NonnegIndicator, Zero
+from adaprox.prox import L1, BoxIndicator, NonnegIndicator, Zero
 from adaprox.problems import lasso_problem, lasso_synthetic, rng
 
 finite_vec = arrays(np.float64, st.integers(1, 6),

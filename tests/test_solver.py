@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -23,6 +24,7 @@ from adaprox import (
     monitor_check,
     run,
 )
+from adaprox import monitor
 from adaprox.adaptive import rho_total
 from adaprox.monitor import _check, lyapunov_weights
 from adaprox.prox import Zero
@@ -835,19 +837,30 @@ def test_records_are_a_view_of_the_rows():
     rec = trace.records[2]
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.l_k = 2.0
-    assert row_bits(trace.records) == row_bits(trace.all_records()[1:])
+    assert list(trace.records) == trace.all_records()[1:]
     assert trace.records[-1].x is not None
     altered = replace(trace, records=list(trace.records))
     altered.records[2] = replace(rec, l_k=2.0)
     assert altered.column("l_k")[3] == altered.all_records()[3].l_k == 2.0
-    assert row_bits([trace.records[2]]) == row_bits([rec]) and monitor_check(trace, p, P).passed
+    assert trace.records[2] == rec and monitor_check(trace, p, P).passed
     assert monitor_check(altered, p, P).check("step_condition").first_failure[0] == 3
 
 
-def row_bits(records) -> tuple:
-    """The records' k and the bytes of their rows: equal for equal records,
-    bit for bit, NaN fields included."""
-    return [r.k for r in records], trace_of(records).rows.tobytes()
+def test_record_equality_is_bitwise():
+    """A record equals itself, NaN fields included, as does the last record,
+    which carries x and grad; a 1-ulp change of lam, or -0.0 for 0.0, makes
+    records unequal. Equal records hash alike."""
+    trace = run(quadratic_problem([0.5, 1.0, 2.0], seed=1), np.ones(3),
+                SolverConfig(max_iters=10)).trace
+    rec = trace.records[2]
+    assert math.isnan(rec.residual_sq) and math.isnan(trace.init.L_k)
+    assert rec == trace.records[2] and trace.init == trace.init
+    assert hash(rec) == hash(trace.records[2])
+    assert replace(rec, lam=np.nextafter(rec.lam, math.inf)) != rec
+    assert replace(rec, l_k=-0.0) != replace(rec, l_k=0.0)
+    last = trace.records[-1]
+    assert last.x is not None and last == trace.records[-1]
+    assert last != replace(last, x=last.x + 1.0) and last != replace(last, grad=None)
 
 
 def test_row_packer_has_the_dtype_layout():
@@ -862,7 +875,8 @@ def test_row_packer_has_the_dtype_layout():
 
 def test_trace_keeps_at_most_128_bytes_per_record(tmp_path):
     """A monitored run keeps at most 128 B per record in its trace, and a
-    write, read and replay of that trace peaks below three times as much."""
+    write, read and replay of that trace peaks at 176 B per record at most:
+    the reader holds a line at a time and the replay a block at a time."""
     n, K = 100, 4000
     problem = quadratic_problem(np.geomspace(1e-4, 1.0, n), seed=3)
     path = str(tmp_path / "t.json")
@@ -880,7 +894,95 @@ def test_trace_keeps_at_most_128_bytes_per_record(tmp_path):
         tracemalloc.stop()
     assert trace.iterations == K and report.passed
     assert kept <= 128 * K, kept / K
-    assert peak < 3 * 128 * K, peak / K
+    assert peak <= 176 * K, peak / K
+
+
+def test_read_trace_holds_little_beside_its_rows(tmp_path):
+    """read_trace's peak above the rows it returns is at most 64 B per record
+    at K = 4000: one line's text, its string and its bytes, not the file."""
+    n, K = 100, 4000
+    problem = quadratic_problem(np.geomspace(1e-4, 1.0, n), seed=3)
+    path = str(tmp_path / "t.json")
+    write_trace(run(problem, np.ones(n), SolverConfig(max_iters=K)).trace, "json", path)
+    tracemalloc.start()
+    try:
+        back = read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.iterations == K
+    assert peak - back.rows.nbytes <= 64 * K, (peak - back.rows.nbytes) / K
+
+
+def test_replay_memory_does_not_grow_with_the_trace():
+    """monitor_check's peak above its input at K = 16,000 is within 10 % of
+    its peak at K = 4000, all nine checks running: it replays a block of
+    records at a time."""
+    n = 100
+    problem = quadratic_problem(np.geomspace(1e-4, 1.0, n), seed=3)
+    P = rho_total(RhoSequence.rho2())
+    peaks = {}
+    for K in (4000, 16000):
+        trace = run(problem, np.ones(n), SolverConfig(max_iters=K, monitor=True)).trace
+        assert trace.iterations == K
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = monitor_check(trace, problem, P)
+            peaks[K] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.skipped == []
+    assert peaks[16000] <= 1.1 * peaks[4000], peaks
+
+
+@functools.lru_cache(maxsize=None)
+def block_trace(K: int):
+    """The quad-monitored workload's problem and a monitored run of K
+    iterations on it, so that all nine checks run."""
+    problem = quadratic_problem(np.geomspace(1e-4, 1.0, 100), seed=1)
+    trace = run(problem, np.ones(100), SolverConfig(max_iters=K, monitor=True)).trace
+    assert trace.iterations == K
+    return problem, trace
+
+
+def report_bits(report) -> tuple:
+    """Every CheckResult's repr, the skipped checks and the report's floats."""
+    return ([repr(c) for c in report.checks], report.skipped,
+            [repr(getattr(report, f)) for f in ("P", "lam_lower", "lam_upper",
+                                                "omega_lower", "S")])
+
+
+@pytest.mark.parametrize("K, edit", [
+    (2100, None),
+    (2100, ("l_k", 2060, 50.0)),
+    (2100, ("F_value", 1024, math.nan)),
+    (2100, ("rho_used", 1025, math.nan)),
+    (0, None), (1, None), (1024, None), (1025, None),
+], ids=["clean", "edited_third_block", "nan_F_at_boundary", "nan_rho_at_boundary",
+        "K0", "K1", "K_block", "K_block_plus_1"])
+def test_replay_is_the_same_at_every_block_size(monkeypatch, K, edit):
+    """The report, every float of it, is the same replayed in blocks of 1, 7
+    and 1024 records as in one block: on clean traces, on one whose row
+    2060 (in the third block of 1024) fails the step condition, on NaNs at
+    either side of the first 1024-block boundary, and at K = 0, 1, the block
+    size and one past it."""
+    problem, trace = block_trace(K)
+    if edit is not None:
+        field, k, value = edit
+        trace = replace(trace, records=list(trace.records))
+        trace.rows[field][k] = value
+    P = rho_total(RhoSequence.rho2())
+    bits = {}
+    for size in (1, 7, 1024, 10**6):
+        monkeypatch.setattr(monitor, "_BLOCK_ROWS", size)
+        report = monitor_check(trace, problem, P)
+        bits[size] = report_bits(report)
+    assert bits[1] == bits[7] == bits[1024] == bits[10**6]
+    assert len(report.checks) == (9 if K else 5)
+    assert report.passed == (edit is None)
+    if edit is not None and edit[0] == "l_k":
+        assert report.check("step_condition").first_failure[0] == 2060
 
 
 @pytest.mark.parametrize("termination, max_iters, tol, nan", [
